@@ -229,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="relative slack tolerance")
     p_check.add_argument("--only", default=None, help="comma list of check ids")
     p_check.add_argument("--out", default="shnr-report.json")
-    p_check.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                         help="worker threads; never affects report bytes")
+    p_check.add_argument("--threads", type=int, default=1,
+                         help="worker threads; more were measured no faster on "
+                              "these small matrices; never affects report bytes")
     p_check.set_defaults(func=cmd_check)
     return parser
 

@@ -144,7 +144,8 @@ def _psd_spectrum(a, rtol: float, what: str):
         )
     w, v = np.linalg.eigh(herm(a))
     lam_max = float(w[-1]) if w.size else 0.0
-    if w.size and float(w[0]) < -rtol * max(lam_max, 0.0) - rtol:
+    # purely relative, so c*A gets the verdict of A for every scale c > 0
+    if w.size and float(w[0]) < -rtol * max(lam_max, 0.0):
         raise NotPositiveError(
             f"{what}: eigenvalue {w[0]:.3e} below PSD tolerance (lam_max={lam_max:.3e})"
         )

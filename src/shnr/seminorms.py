@@ -208,6 +208,12 @@ def a_alpha_seminorm(alpha: float, n_starts: int = 32) -> SeminormDescriptor:
 # ---------------------------------------------------------------------------
 # Omega seminorm
 
+#: Default (t, psi) bracket grid and refinement start count of the
+#: general-argument Omega_A evaluator (see :func:`_big_omega_eval`).
+OMEGA_T_GRID = 12
+OMEGA_PSI_GRID = 24
+OMEGA_REFINE_STARTS = 8
+
 
 def _omega_pencil(tt):
     """Precomputed Hermitian pencil of |B(t, psi)|^2 coefficients.
@@ -267,14 +273,28 @@ def _omega_refine(tt, u, v, max_iter=500):
     return best
 
 
-def _big_omega_eval(ctx, t, t_grid=180, psi_grid=360, refine_starts=6):
+def _big_omega_eval(ctx, t, t_grid=OMEGA_T_GRID, psi_grid=OMEGA_PSI_GRID,
+                    refine_starts=OMEGA_REFINE_STARTS):
     """Omega_A via grid bracketing plus block-coordinate refinement.
 
     The global phase of (alpha, beta) is eliminated by absolute
     homogeneity, leaving alpha = cos(t) >= 0 and beta = e^{i psi} sin(t)
-    on t in [0, pi/2], psi in [0, 2 pi).  A Hermitian compression makes
-    the surface |cos t + e^{i psi} sin t| sigma_max(T~), single-peaked per
-    period, so a coarse grid brackets it and the dense default is skipped.
+    on t in [0, pi/2], psi in [0, 2 pi).  The grid only chooses where the
+    refinement starts; the default 12 x 24 grid is one batched eigenvalue
+    call of 288 matrices.  Why the coarse default is sound:
+
+    * every returned value is lam_max at a grid point or an iterate of
+      :func:`_omega_refine`, i.e. |alpha T + beta T#|_A at a feasible
+      (alpha, beta), so it is a lower bound for Omega_A;
+    * the result dominates every point of the dense 180 x 360 grid; the
+      tests check this against ``dense_grid_omega`` in ``tests/oracles.py``,
+      an independent slow oracle that takes sigma_max on that grid by SVD;
+    * :func:`big_omega_pair_form` stays the independent cross-check
+      (catalog check C26 and the cross-oracle acceptance criterion).
+
+    A Hermitian compression makes the surface |cos t + e^{i psi} sin t|
+    sigma_max(T~), single-peaked per period, so an even coarser grid with
+    two starts brackets it.
     """
     tt = semihilbert.compress(ctx, t)
     scale = float(np.linalg.norm(tt))
@@ -311,8 +331,8 @@ def _big_omega_eval(ctx, t, t_grid=180, psi_grid=360, refine_starts=6):
     return best
 
 
-def big_omega_seminorm(t_grid: int = 180, psi_grid: int = 360,
-                       refine_starts: int = 6) -> SeminormDescriptor:
+def big_omega_seminorm(t_grid: int = OMEGA_T_GRID, psi_grid: int = OMEGA_PSI_GRID,
+                       refine_starts: int = OMEGA_REFINE_STARTS) -> SeminormDescriptor:
     """Omega_A descriptor; A-selfadjoint invariant, other flags undeclared."""
 
     def evaluate(ctx, t, _tg=t_grid, _pg=psi_grid, _rs=refine_starts):

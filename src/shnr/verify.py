@@ -27,13 +27,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import radius, semihilbert, seminorms, serialize
+from . import __version__, radius, semihilbert, seminorms, serialize
 from .exceptions import RankOutOfRangeError, ShnrError
 from .linalg import DEFAULT_RTOL, herm, spectral_norm
 from .radius import ThetaOptConfig
 from .semihilbert import a_adjoint, a_operator_norm, build_context, im_a, re_a
-
-__version__ = "0.1.0"
 
 _SLACK_FLOOR = 1e-300
 _SQRT2 = math.sqrt(2.0)
@@ -940,8 +938,8 @@ def run_suite(
     only=None,
     threads: int = 1,
     theta_grid: int = 180,
-    omega_t_grid: int = 180,
-    omega_psi_grid: int = 360,
+    omega_t_grid: int = seminorms.OMEGA_T_GRID,
+    omega_psi_grid: int = seminorms.OMEGA_PSI_GRID,
     alphas=(0.0, 0.25, 0.5, 0.75, 1.0),
 ) -> SuiteReport:
     """Run the catalog over seeded random instances and aggregate slacks.

@@ -2,8 +2,8 @@
 
 Each oracle reaches the same quantity as the library through a different
 algorithm (characteristic polynomial roots, power iteration, dense sphere
-sampling, direct vector ascent) so that agreement is evidence, not
-tautology.  They are deliberately slow and simple.
+sampling, direct vector ascent, a dense coefficient grid by SVD) so that
+agreement is evidence, not tautology.  They are deliberately slow and simple.
 """
 
 import numpy as np
@@ -110,3 +110,25 @@ def sampling_omega_pairs(ctx, t, samples: int, rng) -> float:
     z1 = np.einsum("ij,ij->i", ys.conj(), xs @ tt.T)
     z2 = np.einsum("ij,ij->i", ys.conj(), xs @ np.conj(tt))
     return float(np.max(np.hypot(np.abs(z1), np.abs(z2))))
+
+
+def dense_grid_omega(tt: np.ndarray, t_grid: int = 180, psi_grid: int = 360) -> float:
+    """max sigma_max(cos t T~ + e^{i psi} sin t T~*) over a dense (t, psi) grid.
+
+    Forms every combination explicitly and takes its largest singular value
+    by batched SVD: no Hermitian pencil, no eigenvalue solver and no
+    refinement, so it shares nothing with the library's Omega_A bracket.
+    A lower bound for Omega_A that the library's value must dominate.
+    """
+    ts = np.linspace(0.0, np.pi / 2.0, t_grid)
+    psis = np.linspace(0.0, 2.0 * np.pi, psi_grid, endpoint=False)
+    alphas = np.repeat(np.cos(ts), psi_grid)
+    betas = np.outer(np.sin(ts), np.exp(1j * psis)).ravel()
+    tta = tt.conj().T
+    best = 0.0
+    chunk = 8192
+    for i in range(0, alphas.size, chunk):
+        combos = (alphas[i:i + chunk, None, None] * tt
+                  + betas[i:i + chunk, None, None] * tta)
+        best = max(best, float(np.linalg.svd(combos, compute_uv=False)[:, 0].max()))
+    return best

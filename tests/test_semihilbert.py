@@ -53,6 +53,17 @@ class TestBuildContext:
         with pytest.raises(NotPositiveError):
             build_context(np.diag([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("exp", range(-150, 151, 25))
+    def test_rejects_tiny_indefinite_at_every_scale(self, exp):
+        # the negative eigenvalue is 50 times lam_max in magnitude
+        with pytest.raises(NotPositiveError):
+            build_context(10.0**exp * np.diag([1e-12, -5e-11]))
+
+    @pytest.mark.parametrize("exp", range(-150, 151, 25))
+    def test_accepts_scaled_rank_deficient_psd(self, exp):
+        ctx = build_context(10.0**exp * verify.random_psd(5, 3, seed=7))
+        assert ctx.rank == 3
+
     def test_rejects_zero(self):
         with pytest.raises(ZeroOperatorError):
             build_context(np.zeros((3, 3)))

@@ -14,6 +14,7 @@ from shnr import (
     big_omega_pair_form,
     big_omega_seminorm,
     build_context,
+    compress,
     gamma_a,
     omega_a,
     probe_properties,
@@ -23,10 +24,34 @@ from shnr import (
 )
 from conftest import ctx_grid, make_ctx
 
-from oracles import sampling_alpha_norm, sampling_omega_pairs
+from oracles import dense_grid_omega, sampling_alpha_norm, sampling_omega_pairs
 
 REMARK_T = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 2]], dtype=complex)
 SQRT2 = math.sqrt(2.0)
+
+
+def _omega_cases():
+    """40 seeded (ctx, T): n = 2..5, the distinct ranks of the full / n-1 /
+    half profiles, and T a plain member, an A-normal operator, the cube of
+    a member or the commutator mix T + 3(TU - UT)."""
+    cases = []
+    for n in (2, 3, 4, 5):
+        for rank in sorted({n, max(1, n - 1), (n + 1) // 2}):
+            ctx = make_ctx(n, rank, seed=300 + 10 * n + rank)
+            rng = np.random.default_rng(400 + 10 * n + rank)
+            t = verify.random_member(ctx, rng=rng, unit_norm=True)
+            u = verify.random_member(ctx, rng=rng, unit_norm=True)
+            for kind, op in (
+                ("member", t),
+                ("normal", verify.random_a_normal(ctx, rng=rng, unit_norm=True)),
+                ("cube", np.linalg.matrix_power(t, 3)),
+                ("mix", t + 3.0 * (t @ u - u @ t)),
+            ):
+                cases.append((f"{kind}-n{n}r{rank}", ctx, op))
+    return cases
+
+
+OMEGA_CASES = _omega_cases()
 
 
 class TestRegistry:
@@ -183,6 +208,16 @@ class TestBigOmega:
                 assert om.evaluate(ctx, t) == pytest.approx(
                     big_omega_pair_form(ctx, t), abs=1e-4
                 )
+
+    @pytest.mark.parametrize("name,ctx,t", OMEGA_CASES, ids=[c[0] for c in OMEGA_CASES])
+    def test_default_bracket_dominates_dense_grid_oracle(self, name, ctx, t):
+        oracle = dense_grid_omega(compress(ctx, t))
+        assert big_omega_seminorm().evaluate(ctx, t) >= oracle * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("name,ctx,t", OMEGA_CASES, ids=[c[0] for c in OMEGA_CASES])
+    def test_default_bracket_matches_dense_bracket(self, name, ctx, t):
+        dense = big_omega_seminorm(180, 360).evaluate(ctx, t)
+        assert big_omega_seminorm().evaluate(ctx, t) == pytest.approx(dense, rel=1e-7)
 
     def test_pair_form_zero_and_hermitian(self):
         ctx = build_context(np.eye(3))

@@ -149,6 +149,12 @@ class TestRunSuite:
             small_report.to_dict()
         )
 
+    def test_report_echoes_package_version_and_omega_defaults(self, small_report):
+        report_dict = small_report.to_dict()
+        assert report_dict["version"] == shnr.__version__
+        assert report_dict["config"]["omega_t_grid"] == shnr.seminorms.OMEGA_T_GRID
+        assert report_dict["config"]["omega_psi_grid"] == shnr.seminorms.OMEGA_PSI_GRID
+
     def test_witness_replay(self, small_report):
         report_dict = json.loads(serialize.dump_report(small_report.to_dict()))
         replayed = 0
