@@ -32,6 +32,12 @@ from .exceptions import (
 #: Relative tolerance used for every rank decision unless overridden.
 DEFAULT_RTOL = 1e-10
 
+#: Byte cap of one stack of matrices handed to a batched kernel: the angle
+#: engine, the alpha ascent and the Omega_A bracket split their batches
+#: into stacks no bigger (see :func:`stack_slices`).  It bounds their
+#: scratch memory; larger caps raised the peak resident set measurably.
+STACK_BYTES = 1 << 16
+
 
 class HermitianEigen(NamedTuple):
     """Spectral decomposition of a Hermitian matrix.
@@ -56,6 +62,16 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def as_matrix_stack(data, name: str = "matrix") -> np.ndarray:
+    """Like :func:`as_matrix`, but a 3-D input is kept as a (k, n, m) stack."""
+    m = np.asarray(data, dtype=np.complex128)
+    if m.ndim != 3:
+        return as_matrix(m, name)
+    if not np.isfinite(m).all():
+        raise DimensionMismatchError(f"{name} contains non-finite entries")
+    return m
+
+
 def as_vector(data, name: str = "vector") -> np.ndarray:
     """Coerce input to a 1-D complex128 array with finite entries."""
     v = np.asarray(data, dtype=np.complex128).reshape(-1)
@@ -65,14 +81,20 @@ def as_vector(data, name: str = "vector") -> np.ndarray:
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    if m.shape[0] != m.shape[1]:
+    """Check that a matrix, or every matrix of a stack, is square."""
+    if m.shape[-2] != m.shape[-1]:
         raise NonSquareError(f"{name} must be square, got shape {m.shape}")
     return m
 
 
+def ctranspose(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose M* of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def herm(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M*)/2."""
-    return (m + m.conj().T) / 2.0
+    """Hermitian part (M + M*)/2 of a matrix or of each matrix of a stack."""
+    return (m + ctranspose(m)) / 2.0
 
 
 def hermitian_deviation(m: np.ndarray) -> float:
@@ -107,9 +129,14 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def spectral_norm(m) -> float:
-    """Operator 2-norm (largest singular value)."""
-    m = as_matrix(m)
+def spectral_norm(m):
+    """Operator 2-norm (largest singular value).
+
+    A (k, n, m) stack gives the k norms as an array, from one batched SVD.
+    """
+    m = as_matrix_stack(m)
+    if m.ndim == 3:
+        return np.linalg.svd(m, compute_uv=False)[:, 0]
     if m.size == 0 or not m.any():
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
@@ -181,6 +208,13 @@ def numerical_rank(a, rtol: float = DEFAULT_RTOL) -> int:
     """Number of eigenvalues of a Hermitian PSD matrix above cutoff."""
     w, _, lam_max = _psd_spectrum(a, rtol, "numerical_rank")
     return int(np.count_nonzero(w > rtol * lam_max))
+
+
+def stack_slices(count: int, item_bytes: int) -> list:
+    """Consecutive slices of ``range(count)`` whose items, ``item_bytes``
+    each, fit in :data:`STACK_BYTES`; every slice holds at least one item."""
+    step = max(1, STACK_BYTES // item_bytes)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def require_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands"):

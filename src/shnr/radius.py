@@ -14,6 +14,12 @@ N(Re_A T) + N(Im_A T)); the refinement then converges to the bracketed
 peak, so the returned value is a certified lower bound of the supremum
 within that grid bound.
 
+The grid stage is batched: the A-real parts cos(theta) Re_A T -
+sin(theta) Im_A T of the grid angles are built as (k, n, n) stacks of at
+most ``linalg.STACK_BYTES`` and each stack is one ``N.evaluate`` call (the
+stack contract of :class:`~shnr.seminorms.SeminormDescriptor`); only the
+golden-section steps evaluate one angle at a time.
+
 For the A-operator seminorm itself an eigenvalue fast path replaces the
 generic loop: the compression of Re_A(e^{i theta} T) is the Hermitian part
 of e^{i theta} T~, so the whole grid reduces to one batched Hermitian
@@ -142,9 +148,9 @@ def omega_a_fast(ctx, t, cfg: ThetaOptConfig | None = None) -> float:
     return val
 
 
-def _theta_combo(r0: np.ndarray, i0: np.ndarray, theta: float) -> np.ndarray:
-    # Re_A(e^{i theta} T) = cos(theta) Re_A(T) - sin(theta) Im_A(T)
-    return math.cos(theta) * r0 - math.sin(theta) * i0
+def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    # Re_A(e^{i theta} T) = cos(theta) Re_A(T) - sin(theta) Im_A(T), one per theta
+    return np.cos(thetas)[:, None, None] * r0 - np.sin(thetas)[:, None, None] * i0
 
 
 def generalized_radius(ctx, seminorm, t, cfg: ThetaOptConfig | None = None,
@@ -152,9 +158,10 @@ def generalized_radius(ctx, seminorm, t, cfg: ThetaOptConfig | None = None,
     """sup over theta of N(Re_A(e^{i theta} T)) for the given seminorm.
 
     Dispatches to the eigenvalue fast path when ``seminorm`` is the plain
-    A-operator seminorm; otherwise runs the generic grid-plus-refinement
-    loop on N itself.  With ``with_error_bound`` the certified one-sided
-    grid bound is returned alongside the value.
+    A-operator seminorm.  Otherwise the angle grid goes to ``seminorm.evaluate``
+    as stacks of A-real parts, each at most ``linalg.STACK_BYTES``, and the
+    golden-section steps evaluate one angle each.  With ``with_error_bound``
+    the certified one-sided grid bound is returned alongside the value.
     """
     cfg = cfg or DEFAULT_THETA_CONFIG
     t = semihilbert.require_member(ctx, t)
@@ -168,37 +175,29 @@ def generalized_radius(ctx, seminorm, t, cfg: ThetaOptConfig | None = None,
         lip = linalg.spectral_norm(herm(tt)) + linalg.spectral_norm((tt - tt.conj().T) / 2.0j)
         return val, lip * (math.pi / cfg.grid_points) / 2.0
 
-    r0 = semihilbert.re_a(ctx, t)
-    i0 = semihilbert.im_a(ctx, t)
+    adj = semihilbert._adjoint_of_member(ctx, t)
+    r0 = (t + adj) / 2.0
+    i0 = (t - adj) / 2.0j
+    thetas = np.linspace(0.0, math.pi, cfg.grid_points, endpoint=False)
+    grid_vals = np.concatenate([
+        seminorm.evaluate(ctx, _theta_combos(r0, i0, thetas[sl]))
+        for sl in linalg.stack_slices(thetas.size, r0.nbytes)
+    ])
 
     def f(theta):
-        return seminorm.evaluate(ctx, _theta_combo(r0, i0, theta))
+        return seminorm.evaluate(ctx, math.cos(theta) * r0 - math.sin(theta) * i0)
 
-    _, val = sup_on_circle(f, math.pi, cfg)
+    _, val = sup_on_circle(f, math.pi, cfg, grid_values=grid_vals)
     if not with_error_bound:
         return val
-    lip = seminorm.evaluate(ctx, r0) + seminorm.evaluate(ctx, i0)
+    lip = float(np.sum(seminorm.evaluate(ctx, np.stack([r0, i0]))))
     return val, lip * (math.pi / cfg.grid_points) / 2.0
 
 
 def generalized_radius_im_form(ctx, seminorm, t, cfg: ThetaOptConfig | None = None) -> float:
     """Same supremum through the A-imaginary part.
 
-    Substituting i T for T in the defining formula turns A-real parts into
-    A-imaginary ones, so this must agree with :func:`generalized_radius`
-    up to twice the refinement tolerance.  Kept as an independent
-    computation for cross-checking.
+    Im_A(e^{i theta} T) = Re_A(e^{i theta} (-i T)), so this is
+    :func:`generalized_radius` of -i T.
     """
-    cfg = cfg or DEFAULT_THETA_CONFIG
-    t = semihilbert.require_member(ctx, t)
-    if linalg.spectral_norm(t) == 0.0:
-        return 0.0
-    r0 = semihilbert.re_a(ctx, t)
-    i0 = semihilbert.im_a(ctx, t)
-
-    # Im_A(e^{i theta} T) = cos(theta) Im_A(T) + sin(theta) Re_A(T)
-    def f(theta):
-        return seminorm.evaluate(ctx, math.cos(theta) * i0 + math.sin(theta) * r0)
-
-    _, val = sup_on_circle(f, math.pi, cfg)
-    return val
+    return generalized_radius(ctx, seminorm, -1j * np.asarray(t), cfg)

@@ -37,7 +37,15 @@ from .exceptions import (
     NotPositiveError,
     ZeroOperatorError,
 )
-from .linalg import DEFAULT_RTOL, as_matrix, as_vector, herm, require_square
+from .linalg import (
+    DEFAULT_RTOL,
+    as_matrix,
+    as_matrix_stack,
+    as_vector,
+    ctranspose,
+    herm,
+    require_square,
+)
 
 
 @dataclass(frozen=True)
@@ -115,10 +123,13 @@ def a_norm_vec(ctx: SemiHilbertContext, x) -> float:
     return float(np.sqrt(max(val.real, 0.0)))
 
 
-def membership_residual(ctx: SemiHilbertContext, t) -> float:
-    """Spectral norm of (I - P) T* A, zero iff T admits an A-adjoint."""
-    t = _check_shape(ctx, t)
-    return linalg.spectral_norm((np.eye(ctx.dim) - ctx.proj) @ t.conj().T @ ctx.a)
+def membership_residual(ctx: SemiHilbertContext, t):
+    """Spectral norm of (I - P) T* A, zero iff T admits an A-adjoint.
+
+    A (k, n, n) stack gives the k residuals as an array.
+    """
+    t = _check_shape(ctx, t, stack=True)
+    return linalg.spectral_norm((np.eye(ctx.dim) - ctx.proj) @ ctranspose(t) @ ctx.a)
 
 
 def is_member(ctx: SemiHilbertContext, t) -> bool:
@@ -131,21 +142,37 @@ def is_member(ctx: SemiHilbertContext, t) -> bool:
     return membership_residual(ctx, t) <= ctx.tol(linalg.spectral_norm(t))
 
 
-def _check_shape(ctx: SemiHilbertContext, t) -> np.ndarray:
-    t = require_square(as_matrix(t, "T"), "T")
-    if t.shape[0] != ctx.dim:
-        raise DimensionMismatchError(f"T has dim {t.shape[0]}, A has dim {ctx.dim}")
+def _check_shape(ctx: SemiHilbertContext, t, stack: bool = False) -> np.ndarray:
+    t = as_matrix_stack(t, "T") if stack else as_matrix(t, "T")
+    t = require_square(t, "T")
+    if t.shape[-1] != ctx.dim:
+        raise DimensionMismatchError(f"T has dim {t.shape[-1]}, A has dim {ctx.dim}")
     return t
 
 
 def require_member(ctx: SemiHilbertContext, t) -> np.ndarray:
-    t = _check_shape(ctx, t)
+    """Return T as an array, or raise ``NotMemberError`` if it has no A-adjoint.
+
+    A (k, n, n) stack is checked at once, by one batched residual and one
+    batched norm, with the per-matrix tolerance of a single operator; the
+    error names the first failing index.
+    """
+    t = _check_shape(ctx, t, stack=True)
     res = membership_residual(ctx, t)
-    if res > ctx.tol(linalg.spectral_norm(t)):
+    bad = res > ctx.tol(linalg.spectral_norm(t))
+    if t.ndim == 3 and bad.any():
+        i = int(np.argmax(bad))
         raise NotMemberError(
-            f"operator is not A-adjointable: range residual {res:.3e}"
+            f"operator at stack index {i} is not A-adjointable: range residual {res[i]:.3e}"
         )
+    if t.ndim == 2 and bad:
+        raise NotMemberError(f"operator is not A-adjointable: range residual {res:.3e}")
     return t
+
+
+def _adjoint_of_member(ctx: SemiHilbertContext, t: np.ndarray) -> np.ndarray:
+    """A^+ T* A for a T already validated by :func:`require_member`."""
+    return ctx.a_pinv @ ctranspose(t) @ ctx.a
 
 
 def a_adjoint(ctx: SemiHilbertContext, t) -> np.ndarray:
@@ -153,27 +180,27 @@ def a_adjoint(ctx: SemiHilbertContext, t) -> np.ndarray:
 
     Solves A X = T* A with range(X) inside range(A); requires membership.
     """
-    t = require_member(ctx, t)
-    return ctx.a_pinv @ t.conj().T @ ctx.a
+    return _adjoint_of_member(ctx, require_member(ctx, t))
 
 
 def re_a(ctx: SemiHilbertContext, t) -> np.ndarray:
     """A-real part (T + T#)/2; always A-selfadjoint."""
     t = require_member(ctx, t)
-    return (t + a_adjoint(ctx, t)) / 2.0
+    return (t + _adjoint_of_member(ctx, t)) / 2.0
 
 
 def im_a(ctx: SemiHilbertContext, t) -> np.ndarray:
     """A-imaginary part (T - T#)/2i; always A-selfadjoint."""
     t = require_member(ctx, t)
-    return (t - a_adjoint(ctx, t)) / 2.0j
+    return (t - _adjoint_of_member(ctx, t)) / 2.0j
 
 
 def compress(ctx: SemiHilbertContext, t) -> np.ndarray:
     """Compression T~ = A^{1/2} T (A^{1/2})^+ of a member operator.
 
     Satisfies <Tx, x>_A = <T~ y, y> with y = A^{1/2} x, and
-    compress(T#) = compress(T)*.
+    compress(T#) = compress(T)*.  A (k, n, n) stack is compressed
+    matrix by matrix.
     """
     t = require_member(ctx, t)
     return ctx.half @ t @ ctx.half_pinv
@@ -196,7 +223,7 @@ def a_operator_norm(ctx: SemiHilbertContext, t) -> float:
 
     Equals sup |<Tx, y>_A| over A-unit x, y, and sup |Tx|_A / |x|_A over
     the range of A.  Raises ``NotMemberError`` outside the A-bounded class
-    (where the supremum is infinite).
+    (where the supremum is infinite).  A (k, n, n) stack gives k values.
     """
     return linalg.spectral_norm(compress(ctx, t))
 
@@ -231,7 +258,7 @@ def is_a_positive(ctx: SemiHilbertContext, t) -> bool:
 def is_a_normal(ctx: SemiHilbertContext, t) -> bool:
     """Whether T# T = T T# within tolerance (requires membership)."""
     t = require_member(ctx, t)
-    ts = a_adjoint(ctx, t)
+    ts = _adjoint_of_member(ctx, t)
     dev = linalg.spectral_norm(ts @ t - t @ ts)
     return dev <= ctx.tol(linalg.spectral_norm(t) ** 2)
 

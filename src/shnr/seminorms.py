@@ -39,7 +39,7 @@ import numpy as np
 
 from . import linalg, semihilbert
 from .exceptions import AlphaOutOfRangeError
-from .linalg import herm
+from .linalg import ctranspose, herm
 from .semihilbert import SemiHilbertContext
 
 _EPS = 1e-300
@@ -47,10 +47,18 @@ _EPS = 1e-300
 
 @dataclass(frozen=True)
 class SeminormDescriptor:
-    """A named seminorm evaluator plus its declared property flags."""
+    """A named seminorm evaluator plus its declared property flags.
+
+    ``evaluate(ctx, t)`` takes one (n, n) operator and returns a float, or a
+    (k, n, n) stack and returns the k values as an array.  The angle engine
+    in :mod:`shnr.radius` hands it whole stacks of angle combinations, so a
+    custom evaluator must accept both shapes.  :func:`semihilbert.compress`,
+    :func:`semihilbert.require_member` and :func:`semihilbert.a_operator_norm`
+    accept stacks and validate one with a single batched check.
+    """
 
     id: str
-    evaluate: Callable[[SemiHilbertContext, np.ndarray], float]
+    evaluate: Callable[[SemiHilbertContext, np.ndarray], "float | np.ndarray"]
     submultiplicative: bool = False
     selfadjoint_invariant: bool = False
     a_increasing: bool = False
@@ -73,6 +81,53 @@ class SeminormDescriptor:
     @property
     def base_id(self) -> str:
         return self.id.split("[")[0]
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation, shared by the alpha and Omega evaluators
+
+
+def _matvec(m, v):
+    """M v for each matrix of a (k, n, n) stack and row of a (k, n) array."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _vdot(v, w):
+    """v* w for each pair of rows of two (k, n) arrays."""
+    return np.einsum("ki,ki->k", v.conj(), w)
+
+
+def _hermitian_compressions(tts, scale):
+    """Per matrix: whether |T~ - T~*|_F <= 1e-7 |T~|_F (``scale`` = |T~|_F).
+
+    A Hermitian compression (an A-selfadjoint argument) lets both
+    evaluators take a cheaper start set.
+    """
+    return np.linalg.norm(tts - ctranspose(tts), axis=(-2, -1)) <= 1e-7 * scale
+
+
+def _evaluate_stack(ctx, t, plan):
+    """Compress T (one operator or a stack) and solve its nonzero matrices.
+
+    ``plan(hermitian)`` gives ``(width, solve)`` for the Hermitian or the
+    other compressions: ``solve(tts, scale)`` returns the values of a stack
+    of them (``scale`` their Frobenius norms) and batches ``width``
+    matrices per element, so it gets stacks whose batches fit
+    ``linalg.STACK_BYTES``.  A zero compression is worth 0; one operator
+    gives a float.
+    """
+    tt = semihilbert.compress(ctx, t)
+    tts = tt[None] if tt.ndim == 2 else tt
+    scale = np.linalg.norm(tts, axis=(-2, -1))
+    hermitian = _hermitian_compressions(tts, scale)
+    out = np.zeros(len(tts))
+    for kind in (True, False):
+        idx = np.flatnonzero((hermitian == kind) & (scale > 0.0))
+        if idx.size:
+            width, solve = plan(kind)
+            for sl in linalg.stack_slices(idx.size, width * tts[0].nbytes):
+                out[idx[sl]] = solve(tts[idx[sl]], scale[idx[sl]])
+    return float(out[0]) if tt.ndim == 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -101,97 +156,112 @@ def a_norm_seminorm() -> SeminormDescriptor:
 # alpha seminorm
 
 
-def _alpha_objective(tt, y_rows, alpha):
-    """F(y) = alpha |y* T~ y|^2 + (1 - alpha) |T~ y|^2 for unit rows y."""
-    ty = y_rows @ tt.T
-    q = np.einsum("ij,ij->i", y_rows.conj(), ty)
+def _alpha_objective(tts, y, alpha):
+    """F(y) = alpha |y* T~ y|^2 + (1 - alpha) |T~ y|^2 for unit rows y.
+
+    ``tts`` is (k, n, n) and ``y`` is (k, s, n): s rows per matrix.
+    """
+    ty = y @ tts.swapaxes(-1, -2)
+    q = np.einsum("ksj,ksj->ks", y.conj(), ty)
     return alpha * np.abs(q) ** 2 + (1.0 - alpha) * np.einsum(
-        "ij,ij->i", ty.conj(), ty
+        "ksj,ksj->ks", ty.conj(), ty
     ).real, q
 
 
-def _alpha_starts(tt, f_mat, n_random, rng):
-    n = tt.shape[0]
-    h1 = herm(tt)
-    h2 = (tt - tt.conj().T) / 2.0j
-    cols = []
-    for m in (h1, h2, f_mat):
-        _, v = np.linalg.eigh(m)
-        cols.append(v[:, -1])
-        cols.append(v[:, 0])
+def _alpha_step(tts, f_mat, q, alpha):
+    """Top eigenvectors of the tangent minorants at rows with forms ``q``."""
+    s = np.abs(q)
+    phase = np.where(s > _EPS, np.conj(q) / np.maximum(s, _EPS), 1.0)
+    h_phi = herm(phase[..., None, None] * tts[:, None])
+    m_batch = (2.0 * alpha * s)[..., None, None] * h_phi + (1.0 - alpha) * f_mat[:, None]
+    return np.linalg.eigh(m_batch)[1][..., -1]
+
+
+def _alpha_starts(tts, f_mat, n_random):
+    """Unit start rows per matrix: the extreme eigenvectors of the Hermitian
+    and skew parts of T~ and of T~* T~, then ``n_random`` seeded random rows
+    shared by every matrix."""
+    k, n = tts.shape[:2]
+    _, v = np.linalg.eigh(
+        np.concatenate([herm(tts), (tts - ctranspose(tts)) / 2.0j, f_mat])
+    )
+    v = v.reshape(3, k, n, n)
+    cols = np.stack([v[m, :, :, c] for m in range(3) for c in (-1, 0)], axis=1)
+    rng = np.random.default_rng(0xA1F0)
     z = rng.standard_normal((n_random, n)) + 1j * rng.standard_normal((n_random, n))
-    starts = np.vstack([np.array(cols), z])
-    norms = np.linalg.norm(starts, axis=1)
+    starts = np.concatenate([cols, np.broadcast_to(z, (k, n_random, n))], axis=1)
+    norms = np.linalg.norm(starts, axis=-1)
     norms[norms == 0] = 1.0
-    return starts / norms[:, None]
+    return starts / norms[..., None]
 
 
-def _alpha_eval(ctx, t, alpha, n_starts=32, gtol=1e-9, max_iter=300):
-    """Multi-start monotone ascent for the alpha seminorm.
+def _alpha_ascent(tts, scale, alpha, n_random, gtol=1e-9, max_iter=300):
+    """Multi-start monotone ascent for the alpha seminorm, lockstep over a stack.
 
     Each sweep replaces the objective by its tangent eigenvalue minorant
     at the current iterate (the square is convex, the modulus is a max of
     Hermitian forms), then jumps to the top eigenvector; values never
     decrease and fixed points are exactly the first-order stationary
-    points, which the final gradient check certifies.
+    points, which the final gradient check certifies.  A matrix leaves the
+    active set after two sweeps without relative gain above 1e-14.
+    """
+    k = len(tts)
+    f_mat = ctranspose(tts) @ tts
+    y = _alpha_starts(tts, f_mat, n_random)
+    best = np.full(k, -np.inf)
+    # the active set, compacted only when a matrix leaves it
+    idx, ta, fa, ya = np.arange(k), tts, f_mat, y.copy()
+    best_a, stall = best.copy(), np.zeros(k, dtype=int)
+    for _ in range(max_iter):
+        vals, q = _alpha_objective(ta, ya, alpha)
+        top = vals.max(axis=1)
+        stall = np.where(top <= best_a * (1 + 1e-14) + 1e-30, stall + 1, 0)
+        stop = stall >= 2
+        if stop.any():
+            best[idx[stop]], y[idx[stop]] = best_a[stop], ya[stop]
+            keep = ~stop
+            idx, ta, fa, ya = idx[keep], ta[keep], fa[keep], ya[keep]
+            best_a, stall, top, q = best_a[keep], stall[keep], top[keep], q[keep]
+            if not idx.size:
+                break
+        best_a = np.maximum(best_a, top)
+        ya = _alpha_step(ta, fa, q, alpha)
+    best[idx], y[idx] = best_a, ya
+
+    # first-order stationarity certificate for each winner
+    vals, q = _alpha_objective(tts, y, alpha)
+    rows = np.arange(k)
+    win = vals.argmax(axis=1)
+    best = np.maximum(best, vals[rows, win])
+    yk, qk = y[rows, win], q[rows, win]
+    grad = alpha * (
+        np.conj(qk)[:, None] * _matvec(tts, yk) + qk[:, None] * _matvec(ctranspose(tts), yk)
+    ) + (1.0 - alpha) * _matvec(f_mat, yk)
+    grad -= _vdot(yk, grad)[:, None] * yk
+    polish = np.flatnonzero(np.linalg.norm(grad, axis=1) > gtol * np.maximum(1.0, scale**2))
+    if polish.size:
+        # rare: polish with a few extra sweeps on the winners alone
+        y1 = yk[polish, None]
+        for _ in range(50):
+            vals1, q1 = _alpha_objective(tts[polish], y1, alpha)
+            best[polish] = np.maximum(best[polish], vals1[:, 0])
+            y1 = _alpha_step(tts[polish], f_mat[polish], q1, alpha)
+    return np.sqrt(np.maximum(best, 0.0))
+
+
+def _alpha_eval(ctx, t, alpha, n_starts=32):
+    """The alpha seminorm of T, or of each matrix of a (k, n, n) stack.
 
     Hermitian compressions (A-selfadjoint arguments) have their maximizer
     at an eigenvector, so the eigenvector starts plus a couple of random
-    ones suffice there and the start count is trimmed accordingly.
+    ones suffice there and the start count is trimmed to 8.
     """
-    tt = semihilbert.compress(ctx, t)
-    scale = float(np.linalg.norm(tt))
-    if scale == 0.0:
-        return 0.0
-    f_mat = tt.conj().T @ tt
-    hermitian_arg = np.linalg.norm(tt - tt.conj().T) <= 1e-7 * scale
-    n_random = max(2, (8 if hermitian_arg else n_starts) - 6)
-    rng = np.random.default_rng(0xA1F0)
-    y = _alpha_starts(tt, f_mat, n_random, rng)
 
-    best = -np.inf
-    stall = 0
-    for _ in range(max_iter):
-        vals, q = _alpha_objective(tt, y, alpha)
-        top = float(np.max(vals))
-        if top <= best * (1 + 1e-14) + 1e-30:
-            stall += 1
-            if stall >= 2:
-                break
-        else:
-            stall = 0
-        best = max(best, top)
-        s = np.abs(q)
-        phase = np.where(s > _EPS, np.conj(q) / np.maximum(s, _EPS), 1.0)
-        h_phi = 0.5 * (
-            phase[:, None, None] * tt + np.conj(phase)[:, None, None] * tt.conj().T
-        )
-        m_batch = 2.0 * alpha * s[:, None, None] * h_phi + (1.0 - alpha) * f_mat
-        _, vecs = np.linalg.eigh(m_batch)
-        y = vecs[:, :, -1]
+    def plan(hermitian):
+        n_random = max(2, (8 if hermitian else n_starts) - 6)
+        return 6 + n_random, lambda tts, scale: _alpha_ascent(tts, scale, alpha, n_random)
 
-    # first-order stationarity certificate for the winner
-    vals, q = _alpha_objective(tt, y, alpha)
-    k = int(np.argmax(vals))
-    best = max(best, float(vals[k]))
-    yk = y[k]
-    grad = (
-        alpha * (np.conj(q[k]) * (tt @ yk) + q[k] * (tt.conj().T @ yk))
-        + (1.0 - alpha) * (f_mat @ yk)
-    )
-    grad -= (np.vdot(yk, grad)) * yk
-    if np.linalg.norm(grad) > gtol * max(1.0, scale**2):
-        # rare: polish with a few extra sweeps on the winner alone
-        y1 = yk[None, :]
-        for _ in range(50):
-            vals1, q1 = _alpha_objective(tt, y1, alpha)
-            best = max(best, float(vals1[0]))
-            s1 = abs(q1[0])
-            ph = np.conj(q1[0]) / max(s1, _EPS) if s1 > _EPS else 1.0
-            m1 = 2.0 * alpha * s1 * herm(ph * tt) + (1.0 - alpha) * f_mat
-            _, v1 = np.linalg.eigh(m1)
-            y1 = v1[:, -1][None, :]
-    return float(math.sqrt(max(best, 0.0)))
+    return _evaluate_stack(ctx, t, plan)
 
 
 def a_alpha_seminorm(alpha: float, n_starts: int = 32) -> SeminormDescriptor:
@@ -215,61 +285,108 @@ OMEGA_PSI_GRID = 24
 OMEGA_REFINE_STARTS = 8
 
 
-def _omega_pencil(tt):
-    """Precomputed Hermitian pencil of |B(t, psi)|^2 coefficients.
+def _omega_pencil(tts):
+    """Precomputed Hermitian pencil of |B(t, psi)|^2 coefficients, per matrix.
 
     B = cos(t) T~ + e^{i psi} sin(t) T~* has
     B*B = cos^2(t) F + sin^2(t) G + sin(2t) (cos(psi) K1 + sin(psi) K2).
     """
-    f_mat = tt.conj().T @ tt
-    g_mat = tt @ tt.conj().T
-    k = tt @ tt
-    k1 = herm(k)
-    k2 = (k - k.conj().T) / 2.0j
-    return f_mat, g_mat, k1, k2
+    f_mat = ctranspose(tts) @ tts
+    g_mat = tts @ ctranspose(tts)
+    k = tts @ tts
+    return f_mat, g_mat, herm(k), (k - ctranspose(k)) / 2.0j
 
 
-def _omega_grid(pencil, ts, psis, chunk=16384):
-    """lam_max(B*B) on the (t, psi) grid via batched Hermitian eigenvalues."""
-    f_mat, g_mat, k1, k2 = pencil
-    c1 = np.repeat(np.cos(ts) ** 2, psis.size)
-    c2 = np.repeat(np.sin(ts) ** 2, psis.size)
+def _omega_grid(pencil, ts, psis):
+    """lam_max(B*B) on the (t, psi) grid for each matrix: a (k, grid) array
+    from one batched Hermitian eigenvalue call."""
     s2t = np.sin(2.0 * ts)
-    c3 = np.outer(s2t, np.cos(psis)).ravel()
-    c4 = np.outer(s2t, np.sin(psis)).ravel()
-    vals = np.empty(c1.size)
-    for i in range(0, c1.size, chunk):
-        sl = slice(i, min(i + chunk, c1.size))
-        m_batch = (
-            c1[sl, None, None] * f_mat
-            + c2[sl, None, None] * g_mat
-            + c3[sl, None, None] * k1
-            + c4[sl, None, None] * k2
+    coeffs = (
+        np.repeat(np.cos(ts) ** 2, psis.size),
+        np.repeat(np.sin(ts) ** 2, psis.size),
+        np.outer(s2t, np.cos(psis)).ravel(),
+        np.outer(s2t, np.sin(psis)).ravel(),
+    )
+    m_batch = coeffs[0][:, None, None] * pencil[0][:, None]
+    for c, p in zip(coeffs[1:], pencil[1:]):
+        m_batch += c[:, None, None] * p[:, None]
+    return np.linalg.eigvalsh(m_batch)[..., -1]
+
+
+def _pick_starts(order, n_psi, count):
+    """Up to ``count`` grid indices from ``order`` (best first) as (t, psi)
+    index pairs, skipping any within two steps of an earlier pick in both
+    t and (cyclic) psi."""
+    picked = []
+    for idx in order:
+        it, ip = divmod(int(idx), n_psi)
+        near_existing = any(
+            abs(it - jt) <= 2 and min(abs(ip - jp), n_psi - abs(ip - jp)) <= 2
+            for jt, jp in picked
         )
-        vals[sl] = np.linalg.eigvalsh(m_batch)[:, -1]
-    return vals
+        if near_existing:
+            continue
+        picked.append((it, ip))
+        if len(picked) >= count:
+            break
+    return picked
 
 
-def _omega_refine(tt, u, v, max_iter=500):
-    """Block-coordinate ascent on |v* (alpha T~ + beta T~*) u|.
+def _omega_refine(tts, u, v, max_iter=500):
+    """Block-coordinate ascent on |v* (alpha T~ + beta T~*) u|, per start.
 
-    Alternates the closed-form optimal coefficient pair (Cauchy-Schwarz)
-    with the optimal singular pair of the resulting combination; the value
-    is nondecreasing, so it converges and every iterate is feasible.
+    Row p of ``u`` and ``v`` starts an ascent on matrix p of ``tts``; all
+    run in lockstep.  Each alternates the closed-form optimal coefficient
+    pair (Cauchy-Schwarz) with the optimal singular pair of the resulting
+    combination; the value is nondecreasing, so it converges and every
+    iterate is feasible.  A start stops at its first step without relative
+    gain above 1e-14, or after ``max_iter`` steps.
     """
-    tta = tt.conj().T
-    best = 0.0
+    out = np.zeros(len(tts))
+    # the active set, compacted only when a start stops
+    idx, tta, best = np.arange(len(tts)), ctranspose(tts), np.zeros(len(tts))
     for _ in range(max_iter):
-        z1 = np.vdot(v, tt @ u)
-        z2 = np.vdot(v, tta @ u)
-        r = math.hypot(abs(z1), abs(z2))
-        if r <= best * (1.0 + 1e-14) + 1e-30:
-            return max(best, r)
+        z1 = _vdot(v, _matvec(tts, u))
+        z2 = _vdot(v, _matvec(tta, u))
+        r = np.hypot(np.abs(z1), np.abs(z2))
+        done = r <= best * (1.0 + 1e-14) + 1e-30
+        if done.any():
+            out[idx[done]] = np.maximum(best[done], r[done])
+            keep = ~done
+            idx, tts, tta = idx[keep], tts[keep], tta[keep]
+            z1, z2, r = z1[keep], z2[keep], r[keep]
+            if not idx.size:
+                return out
         best = r
-        b_mat = (np.conj(z1) * tt + np.conj(z2) * tta) / r
+        b_mat = (
+            np.conj(z1)[:, None, None] * tts + np.conj(z2)[:, None, None] * tta
+        ) / r[:, None, None]
         w_mat, _, vh = np.linalg.svd(b_mat)
-        v = w_mat[:, 0]
-        u = vh[0].conj()
+        v = w_mat[..., 0]
+        u = vh[:, 0].conj()
+    out[idx] = best
+    return out
+
+
+def _omega_solve(tts, t_grid, psi_grid, refine_starts):
+    """Omega_A of each compression in a stack: grid bracket, then refinement."""
+    ts = np.linspace(0.0, math.pi / 2.0, t_grid)
+    psis = np.linspace(0.0, 2.0 * math.pi, psi_grid, endpoint=False)
+    vals = _omega_grid(_omega_pencil(tts), ts, psis)
+    order = np.argsort(vals, axis=1)[:, ::-1]
+    best = np.sqrt(np.maximum(vals[np.arange(len(tts)), order[:, 0]], 0.0))
+    owner, it, ip = np.array([
+        (e, jt, jp)
+        for e in range(len(tts))
+        for jt, jp in _pick_starts(order[e], psis.size, refine_starts)
+    ]).T
+    tt0 = tts[owner]
+    b_mat = (
+        np.cos(ts[it])[:, None, None] * tt0
+        + (np.exp(1j * psis[ip]) * np.sin(ts[it]))[:, None, None] * ctranspose(tt0)
+    )
+    w_mat, _, vh = np.linalg.svd(b_mat)
+    np.maximum.at(best, owner, _omega_refine(tt0, vh[:, 0].conj(), w_mat[..., 0]))
     return best
 
 
@@ -277,6 +394,8 @@ def _big_omega_eval(ctx, t, t_grid=OMEGA_T_GRID, psi_grid=OMEGA_PSI_GRID,
                     refine_starts=OMEGA_REFINE_STARTS):
     """Omega_A via grid bracketing plus block-coordinate refinement.
 
+    ``t`` is one operator (a float is returned) or a (k, n, n) stack (k
+    values); the matrices of a stack share each batched kernel call.
     The global phase of (alpha, beta) is eliminated by absolute
     homogeneity, leaving alpha = cos(t) >= 0 and beta = e^{i psi} sin(t)
     on t in [0, pi/2], psi in [0, 2 pi).  The grid only chooses where the
@@ -293,42 +412,15 @@ def _big_omega_eval(ctx, t, t_grid=OMEGA_T_GRID, psi_grid=OMEGA_PSI_GRID,
       (catalog check C26 and the cross-oracle acceptance criterion).
 
     A Hermitian compression makes the surface |cos t + e^{i psi} sin t|
-    sigma_max(T~), single-peaked per period, so an even coarser grid with
-    two starts brackets it.
+    sigma_max(T~), single-peaked per period, so a 6 x 8 grid with two
+    starts brackets it.
     """
-    tt = semihilbert.compress(ctx, t)
-    scale = float(np.linalg.norm(tt))
-    if scale == 0.0:
-        return 0.0
-    if np.linalg.norm(tt - tt.conj().T) <= 1e-7 * scale:
-        # Hermitian compression: the surface is |cos t + e^{i psi} sin t|
-        # times sigma_max, single-peaked, so a coarse bracket suffices.
-        t_grid, psi_grid, refine_starts = 6, 8, 2
-    ts = np.linspace(0.0, math.pi / 2.0, t_grid)
-    psis = np.linspace(0.0, 2.0 * math.pi, psi_grid, endpoint=False)
-    vals = _omega_grid(_omega_pencil(tt), ts, psis)
 
-    order = np.argsort(vals)[::-1]
-    picked = []
-    for idx in order:
-        it, ip = divmod(int(idx), psis.size)
-        near_existing = any(
-            abs(it - jt) <= 2 and min(abs(ip - jp), psis.size - abs(ip - jp)) <= 2
-            for jt, jp in picked
-        )
-        if near_existing:
-            continue
-        picked.append((it, ip))
-        if len(picked) >= refine_starts:
-            break
+    def plan(hermitian):
+        grid = (6, 8, 2) if hermitian else (t_grid, psi_grid, refine_starts)
+        return grid[0] * grid[1], lambda tts, scale: _omega_solve(tts, *grid)
 
-    best = math.sqrt(max(float(vals[order[0]]), 0.0))
-    for it, ip in picked:
-        t_ang, psi = ts[it], psis[ip]
-        b_mat = math.cos(t_ang) * tt + np.exp(1j * psi) * math.sin(t_ang) * tt.conj().T
-        w_mat, _, vh = np.linalg.svd(b_mat)
-        best = max(best, _omega_refine(tt, vh[0].conj(), w_mat[:, 0]))
-    return best
+    return _evaluate_stack(ctx, t, plan)
 
 
 def big_omega_seminorm(t_grid: int = OMEGA_T_GRID, psi_grid: int = OMEGA_PSI_GRID,
@@ -394,7 +486,7 @@ def gamma_a(ctx, t, cfg=None) -> float:
     Omega_A(T) and sqrt(2) |T|_A.
     """
     t = semihilbert.require_member(ctx, t)
-    ts = semihilbert.a_adjoint(ctx, t)
+    ts = semihilbert._adjoint_of_member(ctx, t)
     branch1 = math.sqrt(semihilbert.a_operator_norm(ctx, ts @ t + t @ ts))
     branch2 = math.sqrt(
         semihilbert.a_operator_norm(ctx, t) ** 2

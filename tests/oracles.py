@@ -2,13 +2,17 @@
 
 Each oracle reaches the same quantity as the library through a different
 algorithm (characteristic polynomial roots, power iteration, dense sphere
-sampling, direct vector ascent, a dense coefficient grid by SVD) so that
-agreement is evidence, not tautology.  They are deliberately slow and simple.
+sampling, direct vector ascent, a dense coefficient grid by SVD, one
+evaluator call per angle) so that agreement is evidence, not tautology.
+They are deliberately slow and simple.
 """
+
+import math
 
 import numpy as np
 
-from shnr import compress
+from shnr import ThetaOptConfig, compress, im_a, re_a
+from shnr.radius import sup_on_circle
 
 
 def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
@@ -132,3 +136,18 @@ def dense_grid_omega(tt: np.ndarray, t_grid: int = 180, psi_grid: int = 360) -> 
                   + betas[i:i + chunk, None, None] * tta)
         best = max(best, float(np.linalg.svd(combos, compute_uv=False)[:, 0].max()))
     return best
+
+
+def per_angle_radius(ctx, seminorm, t, cfg=None) -> float:
+    """w_N(T) = sup_theta N(Re_A(e^{i theta} T)) with one ``seminorm.evaluate``
+    call on a single matrix per grid angle and per golden step: the angle
+    loop without stacks, for a nonzero member T."""
+    cfg = cfg or ThetaOptConfig()
+    r0 = re_a(ctx, t)
+    i0 = im_a(ctx, t)
+
+    def f(theta):
+        return seminorm.evaluate(ctx, math.cos(theta) * r0 - math.sin(theta) * i0)
+
+    _, val = sup_on_circle(f, math.pi, cfg)
+    return val

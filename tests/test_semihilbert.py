@@ -192,6 +192,45 @@ class TestReIm:
         assert spectral_norm(ctx.a @ (r0 + 1j * i0) - ctx.a @ t) <= 1e-10
 
 
+class TestValidateOnce:
+    """Each public call checks membership once (two SVDs), not once per layer."""
+
+    @pytest.mark.parametrize("fn", [a_adjoint, re_a, im_a, is_a_normal],
+                             ids=lambda f: f.__name__)
+    def test_one_membership_check_per_call(self, fn, monkeypatch):
+        calls = []
+        original = shnr.semihilbert.membership_residual
+
+        def counting(ctx, t):
+            calls.append(np.shape(t))
+            return original(ctx, t)
+
+        monkeypatch.setattr(shnr.semihilbert, "membership_residual", counting)
+        ctx = make_ctx(3, 2, seed=40)
+        fn(ctx, verify.random_member(ctx, seed=41))
+        assert len(calls) == 1
+
+
+class TestStacks:
+    @pytest.mark.parametrize("ctx", ctx_grid(4), ids=lambda c: f"n{c.dim}r{c.rank}")
+    def test_stack_matches_matrix_by_matrix(self, ctx):
+        rng = np.random.default_rng(42)
+        stack = np.stack([verify.random_member(ctx, rng=rng) for _ in range(5)])
+        np.testing.assert_array_equal(compress(ctx, stack),
+                                      [compress(ctx, m) for m in stack])
+        np.testing.assert_allclose(a_operator_norm(ctx, stack),
+                                   [a_operator_norm(ctx, m) for m in stack], rtol=1e-14)
+        np.testing.assert_allclose(membership_residual(ctx, stack),
+                                   [membership_residual(ctx, m) for m in stack],
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_stack_dimension_checked(self, identity_ctx2):
+        with pytest.raises(DimensionMismatchError):
+            compress(identity_ctx2, np.zeros((4, 3, 3)))
+        with pytest.raises(DimensionMismatchError):
+            compress(identity_ctx2, np.full((2, 2, 2), np.nan))
+
+
 class TestCompress:
     def test_identity_is_noop(self, identity_ctx3):
         t = np.arange(9, dtype=complex).reshape(3, 3)

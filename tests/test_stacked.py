@@ -1,0 +1,157 @@
+"""The stacked evaluator contract and the batched angle loop.
+
+A seminorm's ``evaluate`` takes one operator or a (k, n, n) stack; the
+generic branch of ``generalized_radius`` hands it the angle grid as stacks
+of at most ``linalg.STACK_BYTES``.  Stacked values must match per-matrix
+values, a stack is rejected if any matrix is a non-member, and the radius
+must match the per-angle loop kept in ``tests/oracles.py``.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from shnr import (
+    NotMemberError,
+    ThetaOptConfig,
+    a_alpha_seminorm,
+    a_norm_seminorm,
+    big_omega_seminorm,
+    compress,
+    generalized_radius,
+    verify,
+)
+from shnr import linalg
+from shnr.semihilbert import require_member
+from conftest import make_ctx
+
+from oracles import per_angle_radius
+
+DESCRIPTORS = {
+    "a_norm": a_norm_seminorm(),
+    "a_alpha[0]": a_alpha_seminorm(0.0),
+    "a_alpha[0.5]": a_alpha_seminorm(0.5),
+    "a_alpha[1]": a_alpha_seminorm(1.0),
+    "big_omega": big_omega_seminorm(),
+}
+
+
+def _mixed_stack(ctx, seed, k=7):
+    """k members cycling through A-selfadjoint, general and zero."""
+    rng = np.random.default_rng(seed)
+    kinds = (
+        lambda: verify.random_a_selfadjoint(ctx, rng=rng, unit_norm=True),
+        lambda: verify.random_member(ctx, rng=rng, unit_norm=True),
+        lambda: np.zeros((ctx.dim, ctx.dim), dtype=complex),
+    )
+    return np.stack([kinds[i % 3]() for i in range(k)])
+
+
+def _non_member(ctx):
+    """Maps a kernel vector of A onto a range vector, so it has no A-adjoint."""
+    return np.outer(ctx.eigenvectors[:, -1], ctx.eigenvectors[:, 0].conj())
+
+
+def _small_stacks(monkeypatch, matrices, n):
+    """Cap stacks at ``matrices`` n x n matrices."""
+    monkeypatch.setattr(linalg, "STACK_BYTES", matrices * n * n * 16)
+
+
+class TestStackedEvaluate:
+    @pytest.mark.parametrize("name", list(DESCRIPTORS))
+    @pytest.mark.parametrize("n,rank", [(2, 2), (3, 2), (4, 4), (5, 3)])
+    def test_stack_matches_single_calls(self, name, n, rank):
+        desc = DESCRIPTORS[name]
+        ctx = make_ctx(n, rank, seed=700 + 10 * n + rank)
+        stack = _mixed_stack(ctx, seed=800 + n)
+        got = desc.evaluate(ctx, stack)
+        want = np.array([desc.evaluate(ctx, m) for m in stack])
+        assert isinstance(got, np.ndarray) and got.shape == (len(stack),)
+        assert np.all(want[2::3] == 0.0) and np.all(got[2::3] == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name", ["a_alpha[0.5]", "big_omega"])
+    def test_stack_split_into_small_chunks(self, name, monkeypatch):
+        # a 5-matrix cap splits the Omega grid of each matrix over several
+        # kernel calls; the values must not move
+        desc = DESCRIPTORS[name]
+        ctx = make_ctx(3, 2, seed=710)
+        stack = _mixed_stack(ctx, seed=810, k=11)
+        want = desc.evaluate(ctx, stack)
+        _small_stacks(monkeypatch, 5, 3)
+        np.testing.assert_allclose(desc.evaluate(ctx, stack), want, rtol=1e-12, atol=0.0)
+
+    def test_single_matrix_gives_float(self):
+        ctx = make_ctx(3, 3, seed=720)
+        t = verify.random_member(ctx, seed=721, unit_norm=True)
+        for desc in DESCRIPTORS.values():
+            assert type(desc.evaluate(ctx, t)) is float
+
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+    def test_one_non_member_rejects_the_stack(self, where):
+        ctx = make_ctx(3, 2, seed=730)
+        stack = _mixed_stack(ctx, seed=830)
+        stack[where] = _non_member(ctx)
+        index = where % len(stack)
+        with pytest.raises(NotMemberError, match=f"stack index {index}"):
+            require_member(ctx, stack)
+        with pytest.raises(NotMemberError):
+            compress(ctx, stack)
+        for desc in DESCRIPTORS.values():
+            with pytest.raises(NotMemberError):
+                desc.evaluate(ctx, stack)
+
+
+RADIUS_CASES = [(2, 2), (2, 1), (3, 3), (3, 2), (4, 4), (4, 3),
+                (4, 2), (5, 5), (5, 4), (5, 3), (6, 6), (6, 3)]
+CFG = ThetaOptConfig(grid_points=180)
+
+
+class TestBatchedAngleLoop:
+    @pytest.mark.parametrize("n,rank", RADIUS_CASES)
+    def test_matches_per_angle_loop(self, n, rank):
+        ctx = make_ctx(n, rank, seed=900 + 10 * n + rank)
+        t = verify.random_member(ctx, seed=950 + 10 * n + rank, unit_norm=True)
+        alpha = (0.0, 0.5, 1.0)[(n + rank) % 3]
+        for desc in (big_omega_seminorm(), a_alpha_seminorm(alpha)):
+            assert generalized_radius(ctx, desc, t, CFG) == pytest.approx(
+                per_angle_radius(ctx, desc, t, CFG), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("n,rank", RADIUS_CASES[::3])
+    def test_small_chunks_match_per_angle_loop(self, n, rank, monkeypatch):
+        # 7 matrices a stack: 180 angles make 25 full stacks and one of 5
+        ctx = make_ctx(n, rank, seed=910 + 10 * n + rank)
+        t = verify.random_member(ctx, seed=960 + 10 * n + rank, unit_norm=True)
+        _small_stacks(monkeypatch, 7, n)
+        for desc in (big_omega_seminorm(), a_alpha_seminorm(0.5)):
+            assert generalized_radius(ctx, desc, t, CFG) == pytest.approx(
+                per_angle_radius(ctx, desc, t, CFG), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("matrices", [None, 16])
+    def test_one_evaluate_call_per_stack(self, matrices, monkeypatch):
+        n = 3
+        if matrices is not None:
+            _small_stacks(monkeypatch, matrices, n)
+        shapes = []
+        base = big_omega_seminorm()
+
+        def counting(ctx, t):
+            shapes.append(np.shape(t))
+            return base.evaluate(ctx, t)
+
+        desc = dataclasses.replace(base, evaluate=counting)
+        ctx = make_ctx(n, 2, seed=740)
+        t = verify.random_member(ctx, seed=741, unit_norm=True)
+        generalized_radius(ctx, desc, t, CFG)
+        stacks = [s[0] for s in shapes if len(s) == 3]
+        singles = [s for s in shapes if len(s) == 2]
+        per_stack = linalg.STACK_BYTES // (n * n * 16)
+        assert len(stacks) == math.ceil(CFG.grid_points / per_stack)
+        assert sum(stacks) == CFG.grid_points
+        # the rest are golden-section steps: two to start, one per iteration
+        assert len(singles) <= CFG.max_refine_iters + 2
+        assert len(shapes) < CFG.grid_points
