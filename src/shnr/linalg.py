@@ -135,11 +135,10 @@ def spectral_norm(m):
     A (k, n, m) stack gives the k norms as an array, from one batched SVD.
     """
     m = as_matrix_stack(m)
-    if m.ndim == 3:
-        return np.linalg.svd(m, compute_uv=False)[:, 0]
     if m.size == 0 or not m.any():
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+        return np.zeros(m.shape[:-2]) if m.ndim == 3 else 0.0
+    s = np.linalg.svd(m, compute_uv=False)
+    return s[:, 0] if m.ndim == 3 else float(s[0])
 
 
 def pseudo_inverse(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
@@ -215,8 +214,3 @@ def stack_slices(count: int, item_bytes: int) -> list:
     each, fit in :data:`STACK_BYTES`; every slice holds at least one item."""
     step = max(1, STACK_BYTES // item_bytes)
     return [slice(i, min(i + step, count)) for i in range(0, count, step)]
-
-
-def require_same_shape(a: np.ndarray, b: np.ndarray, what: str = "operands"):
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"{what}: shapes {a.shape} and {b.shape} differ")

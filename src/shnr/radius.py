@@ -14,16 +14,17 @@ N(Re_A T) + N(Im_A T)); the refinement then converges to the bracketed
 peak, so the returned value is a certified lower bound of the supremum
 within that grid bound.
 
-The grid stage is batched: the A-real parts cos(theta) Re_A T -
-sin(theta) Im_A T of the grid angles are built as (k, n, n) stacks of at
-most ``linalg.STACK_BYTES`` and each stack is one ``N.evaluate`` call (the
-stack contract of :class:`~shnr.seminorms.SeminormDescriptor`); only the
-golden-section steps evaluate one angle at a time.
+Every objective is batched: ``sup_on_circle`` hands it a 1-D array of
+angles and takes an array of values back, the whole grid in one call and
+each golden-section step as a one-angle array.  The generic objective builds
+the A-real parts cos(theta) Re_A T - sin(theta) Im_A T as (k, n, n) stacks
+of at most ``linalg.STACK_BYTES`` and makes one ``N.evaluate`` call per
+stack (the stack contract of :class:`~shnr.seminorms.SeminormDescriptor`).
 
-For the A-operator seminorm itself an eigenvalue fast path replaces the
-generic loop: the compression of Re_A(e^{i theta} T) is the Hermitian part
-of e^{i theta} T~, so the whole grid reduces to one batched Hermitian
-eigenvalue call.
+For the A-operator seminorm an eigenvalue fast path replaces the generic
+objective: the compression of Re_A(e^{i theta} T) is the Hermitian part
+of e^{i theta} T~, so its objective is one batched Hermitian eigenvalue
+call.
 """
 
 from __future__ import annotations
@@ -88,64 +89,27 @@ def _golden_max(f, a: float, b: float, tol: float, max_iter: int):
     return best_x, best_f
 
 
-def sup_on_circle(f, period: float, cfg: ThetaOptConfig, grid_values=None):
+def sup_on_circle(f, period: float, cfg: ThetaOptConfig):
     """Maximize a periodic function: uniform grid, then refine best bracket.
 
-    ``grid_values`` may carry precomputed f at the canonical grid (callers
-    with a vectorized evaluation use this).  Returns (theta*, f*) with f*
-    at least the grid maximum.
+    ``f`` maps a 1-D array of angles to the array of its values.  The grid
+    is one call of ``f``; each golden-section step calls it on a one-angle
+    array.  Returns (theta*, f*) with f* at least the grid maximum.
     """
     m = cfg.grid_points
     thetas = np.linspace(0.0, period, m, endpoint=False)
-    if grid_values is None:
-        vals = np.array([f(t) for t in thetas])
-    else:
-        vals = np.asarray(grid_values, dtype=float)
+    vals = np.asarray(f(thetas), dtype=float)
     k = int(np.argmax(vals))
     h = period / m
     lo, hi = thetas[k] - h, thetas[k] + h
 
-    def f_wrapped(x):
-        return f(x % period)
+    def f_one(x):
+        return float(f(np.array([x % period]))[0])
 
-    x_ref, f_ref = _golden_max(f_wrapped, lo, hi, cfg.refine_tol, cfg.max_refine_iters)
+    x_ref, f_ref = _golden_max(f_one, lo, hi, cfg.refine_tol, cfg.max_refine_iters)
     if f_ref >= vals[k]:
         return x_ref % period, float(f_ref)
     return float(thetas[k]), float(vals[k])
-
-
-def _hermitian_abs_max(h_mat: np.ndarray) -> float:
-    """sigma_max of a Hermitian matrix = largest |eigenvalue|."""
-    w = np.linalg.eigvalsh(h_mat)
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
-def omega_a_fast(ctx, t, cfg: ThetaOptConfig | None = None) -> float:
-    """A-numerical radius via the compression's eigenvalue sweep.
-
-    omega_A(T) = sup_theta of the largest |eigenvalue| of the Hermitian
-    part of e^{i theta} T~.  The grid stage is one batched eigvalsh call;
-    agrees with the generic engine under the A-operator seminorm to the
-    refinement tolerance.
-    """
-    cfg = cfg or DEFAULT_THETA_CONFIG
-    tt = semihilbert.compress(ctx, t)
-    if linalg.spectral_norm(tt) == 0.0:
-        return 0.0
-    h1 = herm(tt)
-    h2 = (tt - tt.conj().T) / 2.0j
-    thetas = np.linspace(0.0, math.pi, cfg.grid_points, endpoint=False)
-    cos = np.cos(thetas)[:, None, None]
-    sin = np.sin(thetas)[:, None, None]
-    batch = cos * h1 - sin * h2
-    w = np.linalg.eigvalsh(batch)
-    grid_vals = np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1]))
-
-    def f(theta):
-        return _hermitian_abs_max(math.cos(theta) * h1 - math.sin(theta) * h2)
-
-    _, val = sup_on_circle(f, math.pi, cfg, grid_values=grid_vals)
-    return val
 
 
 def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -153,41 +117,62 @@ def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndar
     return np.cos(thetas)[:, None, None] * r0 - np.sin(thetas)[:, None, None] * i0
 
 
+def omega_a_fast(ctx, t, cfg: ThetaOptConfig | None = None) -> float:
+    """A-numerical radius via the compression's eigenvalue sweep.
+
+    omega_A(T) = sup_theta of the largest |eigenvalue| of the Hermitian
+    part of e^{i theta} T~; the objective is one batched eigvalsh call per
+    batch of angles.  Agrees with the generic engine under the A-operator
+    seminorm to the refinement tolerance.
+    """
+    return _eigenvalue_sweep(semihilbert.compress(ctx, t), cfg or DEFAULT_THETA_CONFIG)
+
+
+def _eigenvalue_sweep(tt: np.ndarray, cfg: ThetaOptConfig) -> float:
+    """The classical numerical radius of the compression ``tt``."""
+    if not tt.any():
+        return 0.0
+    h1 = herm(tt)
+    h2 = (tt - tt.conj().T) / 2.0j
+
+    def f(thetas):
+        w = np.linalg.eigvalsh(_theta_combos(h1, h2, thetas))
+        # ascending eigenvalues: the largest modulus is -w_min or w_max
+        return np.maximum(-w[:, 0], w[:, -1])
+
+    _, val = sup_on_circle(f, math.pi, cfg)
+    return val
+
+
 def generalized_radius(ctx, seminorm, t, cfg: ThetaOptConfig | None = None,
                        with_error_bound: bool = False):
     """sup over theta of N(Re_A(e^{i theta} T)) for the given seminorm.
 
-    Dispatches to the eigenvalue fast path when ``seminorm`` is the plain
-    A-operator seminorm.  Otherwise the angle grid goes to ``seminorm.evaluate``
-    as stacks of A-real parts, each at most ``linalg.STACK_BYTES``, and the
-    golden-section steps evaluate one angle each.  With ``with_error_bound``
-    the certified one-sided grid bound is returned alongside the value.
+    Dispatches to the eigenvalue fast path, which compresses T as
+    validated here without checking it again, when ``seminorm`` is the
+    plain A-operator seminorm.  Otherwise the objective hands the angles to
+    ``seminorm.evaluate`` as stacks of A-real parts, each at most
+    ``linalg.STACK_BYTES``.  With ``with_error_bound`` the certified
+    one-sided grid bound L * h / 2 is returned alongside the value, with
+    L = N(Re_A T) + N(Im_A T) for every seminorm.
     """
     cfg = cfg or DEFAULT_THETA_CONFIG
     t = semihilbert.require_member(ctx, t)
-    if linalg.spectral_norm(t) == 0.0:
+    if not t.any():
         return (0.0, 0.0) if with_error_bound else 0.0
-    if getattr(seminorm, "id", None) == "a_norm":
-        val = omega_a_fast(ctx, t, cfg)
-        if not with_error_bound:
-            return val
-        tt = semihilbert.compress(ctx, t)
-        lip = linalg.spectral_norm(herm(tt)) + linalg.spectral_norm((tt - tt.conj().T) / 2.0j)
-        return val, lip * (math.pi / cfg.grid_points) / 2.0
-
     adj = semihilbert._adjoint_of_member(ctx, t)
     r0 = (t + adj) / 2.0
     i0 = (t - adj) / 2.0j
-    thetas = np.linspace(0.0, math.pi, cfg.grid_points, endpoint=False)
-    grid_vals = np.concatenate([
-        seminorm.evaluate(ctx, _theta_combos(r0, i0, thetas[sl]))
-        for sl in linalg.stack_slices(thetas.size, r0.nbytes)
-    ])
+    if getattr(seminorm, "id", None) == "a_norm":
+        val = _eigenvalue_sweep(semihilbert._compress_member(ctx, t), cfg)
+    else:
+        def f(thetas):
+            return np.concatenate([
+                seminorm.evaluate(ctx, _theta_combos(r0, i0, thetas[sl]))
+                for sl in linalg.stack_slices(thetas.size, r0.nbytes)
+            ])
 
-    def f(theta):
-        return seminorm.evaluate(ctx, math.cos(theta) * r0 - math.sin(theta) * i0)
-
-    _, val = sup_on_circle(f, math.pi, cfg, grid_values=grid_vals)
+        _, val = sup_on_circle(f, math.pi, cfg)
     if not with_error_bound:
         return val
     lip = float(np.sum(seminorm.evaluate(ctx, np.stack([r0, i0]))))

@@ -34,7 +34,6 @@ from . import linalg
 from .exceptions import (
     DimensionMismatchError,
     NotMemberError,
-    NotPositiveError,
     ZeroOperatorError,
 )
 from .linalg import (
@@ -202,7 +201,11 @@ def compress(ctx: SemiHilbertContext, t) -> np.ndarray:
     compress(T#) = compress(T)*.  A (k, n, n) stack is compressed
     matrix by matrix.
     """
-    t = require_member(ctx, t)
+    return _compress_member(ctx, require_member(ctx, t))
+
+
+def _compress_member(ctx: SemiHilbertContext, t: np.ndarray) -> np.ndarray:
+    """A^{1/2} T (A^{1/2})^+ for a T already validated by :func:`require_member`."""
     return ctx.half @ t @ ctx.half_pinv
 
 
@@ -239,38 +242,42 @@ def omega_a(ctx: SemiHilbertContext, t, cfg=None) -> float:
     return radius.omega_a_fast(ctx, t, cfg)
 
 
+# The class predicates below compare each defect with rtol times the size it
+# scales with, so a verdict does not change when A or T is rescaled.
+
+
 def is_a_selfadjoint(ctx: SemiHilbertContext, t) -> bool:
-    """Whether A T = T* A within tolerance."""
+    """Whether A T = T* A within rtol |A| |T|."""
     t = _check_shape(ctx, t)
     dev = linalg.spectral_norm(ctx.a @ t - t.conj().T @ ctx.a)
-    return dev <= ctx.tol(linalg.spectral_norm(t))
+    return dev <= ctx.rtol * ctx.scale * linalg.spectral_norm(t)
 
 
 def is_a_positive(ctx: SemiHilbertContext, t) -> bool:
-    """Whether A T is Hermitian PSD within tolerance."""
+    """Whether A T is Hermitian PSD within rtol |A| |T|."""
     t = _check_shape(ctx, t)
     if not is_a_selfadjoint(ctx, t):
         return False
     w = np.linalg.eigvalsh(herm(ctx.a @ t))
-    return bool(w.size == 0 or w[0] >= -ctx.tol(linalg.spectral_norm(t)))
+    return bool(w.size == 0 or w[0] >= -ctx.rtol * ctx.scale * linalg.spectral_norm(t))
 
 
 def is_a_normal(ctx: SemiHilbertContext, t) -> bool:
-    """Whether T# T = T T# within tolerance (requires membership)."""
+    """Whether T# T = T T# within rtol |T#| |T| (requires membership)."""
     t = require_member(ctx, t)
     ts = _adjoint_of_member(ctx, t)
     dev = linalg.spectral_norm(ts @ t - t @ ts)
-    return dev <= ctx.tol(linalg.spectral_norm(t) ** 2)
+    return dev <= ctx.rtol * linalg.spectral_norm(ts) * linalg.spectral_norm(t)
 
 
 def is_a_unitary(ctx: SemiHilbertContext, t) -> bool:
     """Whether |Tx|_A = |T# x|_A = |x|_A for all x (requires membership).
 
     Tested on the compression: both T~* T~ and T~ T~* must equal the range
-    projector.
+    projector, within rtol (1 + |T~|^2).
     """
     tt = compress(ctx, t)
-    tol = ctx.tol(linalg.spectral_norm(tt) ** 2)
+    tol = ctx.rtol * (1.0 + linalg.spectral_norm(tt) ** 2)
     return (
         linalg.spectral_norm(tt.conj().T @ tt - ctx.proj) <= tol
         and linalg.spectral_norm(tt @ tt.conj().T - ctx.proj) <= tol

@@ -249,28 +249,29 @@ def _alpha_ascent(tts, scale, alpha, n_random, gtol=1e-9, max_iter=300):
     return np.sqrt(np.maximum(best, 0.0))
 
 
-def _alpha_eval(ctx, t, alpha, n_starts=32):
+def _alpha_eval(ctx, t, alpha):
     """The alpha seminorm of T, or of each matrix of a (k, n, n) stack.
 
-    Hermitian compressions (A-selfadjoint arguments) have their maximizer
-    at an eigenvector, so the eigenvector starts plus a couple of random
-    ones suffice there and the start count is trimmed to 8.
+    A general compression gets 32 starts.  Hermitian compressions
+    (A-selfadjoint arguments) have their maximizer at an eigenvector, so
+    the eigenvector starts plus a couple of random ones suffice there and
+    the start count is trimmed to 8.
     """
 
     def plan(hermitian):
-        n_random = max(2, (8 if hermitian else n_starts) - 6)
+        n_random = (8 if hermitian else 32) - 6
         return 6 + n_random, lambda tts, scale: _alpha_ascent(tts, scale, alpha, n_random)
 
     return _evaluate_stack(ctx, t, plan)
 
 
-def a_alpha_seminorm(alpha: float, n_starts: int = 32) -> SeminormDescriptor:
+def a_alpha_seminorm(alpha: float) -> SeminormDescriptor:
     """The alpha-weighted seminorm; alpha = 0 gives |.|_A, alpha = 1 gives omega_A."""
     if not (0.0 <= alpha <= 1.0):
         raise AlphaOutOfRangeError(f"alpha must lie in [0, 1], got {alpha}")
 
-    def evaluate(ctx, t, _alpha=float(alpha), _ns=n_starts):
-        return _alpha_eval(ctx, t, _alpha, n_starts=_ns)
+    def evaluate(ctx, t, _alpha=float(alpha)):
+        return _alpha_eval(ctx, t, _alpha)
 
     return SeminormDescriptor(id=f"a_alpha[{alpha:g}]", evaluate=evaluate, alpha=float(alpha))
 
@@ -278,7 +279,7 @@ def a_alpha_seminorm(alpha: float, n_starts: int = 32) -> SeminormDescriptor:
 # ---------------------------------------------------------------------------
 # Omega seminorm
 
-#: Default (t, psi) bracket grid and refinement start count of the
+#: The (t, psi) bracket grid and refinement start count of the
 #: general-argument Omega_A evaluator (see :func:`_big_omega_eval`).
 OMEGA_T_GRID = 12
 OMEGA_PSI_GRID = 24
@@ -390,8 +391,7 @@ def _omega_solve(tts, t_grid, psi_grid, refine_starts):
     return best
 
 
-def _big_omega_eval(ctx, t, t_grid=OMEGA_T_GRID, psi_grid=OMEGA_PSI_GRID,
-                    refine_starts=OMEGA_REFINE_STARTS):
+def _big_omega_eval(ctx, t):
     """Omega_A via grid bracketing plus block-coordinate refinement.
 
     ``t`` is one operator (a float is returned) or a (k, n, n) stack (k
@@ -417,22 +417,17 @@ def _big_omega_eval(ctx, t, t_grid=OMEGA_T_GRID, psi_grid=OMEGA_PSI_GRID,
     """
 
     def plan(hermitian):
-        grid = (6, 8, 2) if hermitian else (t_grid, psi_grid, refine_starts)
+        grid = (6, 8, 2) if hermitian else (OMEGA_T_GRID, OMEGA_PSI_GRID, OMEGA_REFINE_STARTS)
         return grid[0] * grid[1], lambda tts, scale: _omega_solve(tts, *grid)
 
     return _evaluate_stack(ctx, t, plan)
 
 
-def big_omega_seminorm(t_grid: int = OMEGA_T_GRID, psi_grid: int = OMEGA_PSI_GRID,
-                       refine_starts: int = OMEGA_REFINE_STARTS) -> SeminormDescriptor:
+def big_omega_seminorm() -> SeminormDescriptor:
     """Omega_A descriptor; A-selfadjoint invariant, other flags undeclared."""
-
-    def evaluate(ctx, t, _tg=t_grid, _pg=psi_grid, _rs=refine_starts):
-        return _big_omega_eval(ctx, t, t_grid=_tg, psi_grid=_pg, refine_starts=_rs)
-
     return SeminormDescriptor(
         id="big_omega",
-        evaluate=evaluate,
+        evaluate=_big_omega_eval,
         selfadjoint_invariant=True,
     )
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,6 +63,12 @@ def _ginibre(n, rng):
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
 
 
+def _unit_norm(t: np.ndarray) -> np.ndarray:
+    """T / |T|, or T itself when it is zero."""
+    s = spectral_norm(t)
+    return t / s if s > 0 else t
+
+
 def random_psd(n: int, rank: int, seed=None, rng=None) -> np.ndarray:
     """Random Hermitian PSD matrix with exactly ``rank`` nonzero eigenvalues.
 
@@ -89,11 +95,7 @@ def random_member(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarr
     rng = _resolve_rng(seed, rng)
     g = _ginibre(ctx.dim, rng)
     t = g - ctx.proj @ g @ (np.eye(ctx.dim) - ctx.proj)
-    if unit_norm:
-        s = spectral_norm(t)
-        if s > 0:
-            t = t / s
-    return t
+    return _unit_norm(t) if unit_norm else t
 
 
 def random_a_selfadjoint(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarray:
@@ -101,11 +103,7 @@ def random_a_selfadjoint(ctx, seed=None, rng=None, unit_norm: bool = False) -> n
     rng = _resolve_rng(seed, rng)
     m = ctx.proj @ herm(_ginibre(ctx.dim, rng)) @ ctx.proj
     t = semihilbert.uncompress(ctx, m)
-    if unit_norm:
-        s = spectral_norm(t)
-        if s > 0:
-            t = t / s
-    return t
+    return _unit_norm(t) if unit_norm else t
 
 
 def random_a_positive(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarray:
@@ -114,11 +112,7 @@ def random_a_positive(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.n
     g = _ginibre(ctx.dim, rng)
     m = ctx.proj @ (g @ g.conj().T) @ ctx.proj
     t = semihilbert.uncompress(ctx, m)
-    if unit_norm:
-        s = spectral_norm(t)
-        if s > 0:
-            t = t / s
-    return t
+    return _unit_norm(t) if unit_norm else t
 
 
 def _range_kernel_bases(ctx):
@@ -138,11 +132,7 @@ def random_a_normal(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.nda
     t = semihilbert.uncompress(ctx, m)
     if uk.shape[1]:
         t = t + uk @ _ginibre(uk.shape[1], rng) @ uk.conj().T
-    if unit_norm:
-        s = spectral_norm(t)
-        if s > 0:
-            t = t / s
-    return t
+    return _unit_norm(t) if unit_norm else t
 
 
 def random_a_unitary(ctx, seed=None, rng=None) -> np.ndarray:
@@ -170,9 +160,7 @@ def _range_nilpotent(ctx, rng) -> np.ndarray:
     """Nilpotent member supported on range(A), so that A T^2 = 0 exactly."""
     ur, _ = _range_kernel_bases(ctx)
     m = ur @ random_nilpotent(ctx.rank, rng) @ ur.conj().T
-    t = semihilbert.uncompress(ctx, m)
-    s = spectral_norm(t)
-    return t / s if s > 0 else t
+    return _unit_norm(semihilbert.uncompress(ctx, m))
 
 
 def _unit_vector(n, rng):
@@ -309,12 +297,13 @@ def _re_im(ctx, t):
     return re_a(ctx, t), im_a(ctx, t)
 
 
-def _combo_re(r0, i0, th):
-    return math.cos(th) * r0 - math.sin(th) * i0
-
-
-def _combo_im(r0, i0, th):
-    return math.cos(th) * i0 + math.sin(th) * r0
+def _angle_profile(ctx, n_desc, r0, i0, thetas):
+    """N(Re_A(e^{i th} T)) and N(Im_A(e^{i th} T)) for a 1-D array of
+    angles, one stacked ``evaluate`` call per form."""
+    return (
+        n_desc.evaluate(ctx, radius._theta_combos(r0, i0, thetas)),
+        n_desc.evaluate(ctx, radius._theta_combos(i0, -r0, thetas)),
+    )
 
 
 def _eval_c01(ctx, mats, n_desc, cfg):
@@ -332,11 +321,9 @@ def _eval_c02(ctx, mats, n_desc, cfg):
     w = _w(ctx, n_desc, t, cfg)
     r0, i0 = _re_im(ctx, t)
 
-    def gap(th):
-        return abs(
-            n_desc.evaluate(ctx, _combo_re(r0, i0, th))
-            - n_desc.evaluate(ctx, _combo_im(r0, i0, th))
-        )
+    def gap(thetas):
+        re_vals, im_vals = _angle_profile(ctx, n_desc, r0, i0, thetas)
+        return np.abs(re_vals - im_vals)
 
     _, sup_gap = radius.sup_on_circle(gap, math.pi, _CFG64)
     lhs = n_desc.evaluate(ctx, t) / 2 + sup_gap / 2
@@ -391,11 +378,8 @@ def _eval_c07(ctx, mats, n_desc, cfg):
     r0, i0 = _re_im(ctx, t)
     rhs_plain = math.hypot(n_desc.evaluate(ctx, r0), n_desc.evaluate(ctx, i0))
 
-    def euclid(th):
-        return -math.hypot(
-            n_desc.evaluate(ctx, _combo_re(r0, i0, th)),
-            n_desc.evaluate(ctx, _combo_im(r0, i0, th)),
-        )
+    def euclid(thetas):
+        return -np.hypot(*_angle_profile(ctx, n_desc, r0, i0, thetas))
 
     _, neg_inf = radius.sup_on_circle(euclid, math.pi, _CFG64)
     return InstanceOutcome([(w, rhs_plain), (w, -neg_inf)])
@@ -593,29 +577,22 @@ def _eval_c27(ctx, mats, n_desc, cfg):
     c = a_adjoint(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
     r0, i0 = _re_im(ctx, t)
-    thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
     tol = 1e-7 * max(1.0, nt)
-    pairs = []
-    held = False
-
-    if abs(w - nt / 2) <= tol:  # lower-bound attainment forces flat angle profile
-        held = True
-        for th in thetas:
-            pairs.append((n_desc.evaluate(ctx, _combo_re(r0, i0, th)), nt / 2))
-            pairs.append((n_desc.evaluate(ctx, _combo_im(r0, i0, th)), nt / 2))
-
     target = math.sqrt(q) / 2
-    if abs(w - target) <= tol:  # quadratic lower-bound attainment
-        held = True
-        for th in thetas:
-            pairs.append((n_desc.evaluate(ctx, _combo_re(r0, i0, th)), target))
-            pairs.append((n_desc.evaluate(ctx, _combo_im(r0, i0, th)), target))
-
-    if n_desc.base_id == "big_omega" and abs(w - nt / 2) <= tol:
-        for th in thetas:
-            pairs.append(
-                (nt, 2 * _SQRT2 * a_operator_norm(ctx, _combo_re(r0, i0, th)))
-            )
+    flat = abs(w - nt / 2) <= tol  # lower-bound attainment forces flat angle profile
+    quadratic = abs(w - target) <= tol  # quadratic lower-bound attainment
+    held = flat or quadratic
+    pairs = []
+    if held:
+        thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
+        re_vals, im_vals = _angle_profile(ctx, n_desc, r0, i0, thetas)
+        per_angle = np.stack([re_vals, im_vals], axis=1).ravel()  # Re, Im per angle
+        for bound, premise in ((nt / 2, flat), (target, quadratic)):
+            if premise:
+                pairs.extend((v, bound) for v in per_angle)
+        if n_desc.base_id == "big_omega" and flat:
+            re_norms = a_operator_norm(ctx, radius._theta_combos(r0, i0, thetas))
+            pairs.extend((nt, 2 * _SQRT2 * v) for v in re_norms)
     return InstanceOutcome(pairs, premise_held=held)
 
 
@@ -628,34 +605,15 @@ def _make_ctx(n, profile, rng, rtol):
     return build_context(a, rtol)
 
 
-def _gen_member(n, profile, rng, rtol, idx):
-    ctx = _make_ctx(n, profile, rng, rtol)
-    return ctx, {"T": random_member(ctx, rng=rng, unit_norm=True)}
+def _gen_members(*names):
+    """Generator of unit-norm random members, one per operand name, drawn in
+    the order given."""
 
+    def gen(n, profile, rng, rtol, idx):
+        ctx = _make_ctx(n, profile, rng, rtol)
+        return ctx, {k: random_member(ctx, rng=rng, unit_norm=True) for k in names}
 
-def _gen_member_pair(n, profile, rng, rtol, idx):
-    ctx = _make_ctx(n, profile, rng, rtol)
-    return ctx, {
-        "T": random_member(ctx, rng=rng, unit_norm=True),
-        "S": random_member(ctx, rng=rng, unit_norm=True),
-    }
-
-
-def _gen_member_triple(n, profile, rng, rtol, idx):
-    ctx = _make_ctx(n, profile, rng, rtol)
-    return ctx, {
-        "T": random_member(ctx, rng=rng, unit_norm=True),
-        "S": random_member(ctx, rng=rng, unit_norm=True),
-        "X": random_member(ctx, rng=rng, unit_norm=True),
-    }
-
-
-def _gen_member_tx(n, profile, rng, rtol, idx):
-    ctx = _make_ctx(n, profile, rng, rtol)
-    return ctx, {
-        "T": random_member(ctx, rng=rng, unit_norm=True),
-        "X": random_member(ctx, rng=rng, unit_norm=True),
-    }
+    return gen
 
 
 def _gen_vectors(n, profile, rng, rtol, idx):
@@ -714,10 +672,10 @@ def _gen_pinned_remark(n, profile, rng, rtol, idx):
 
 
 _GENERATORS = {
-    "member": _gen_member,
-    "member_pair": _gen_member_pair,
-    "member_triple": _gen_member_triple,
-    "member_tx": _gen_member_tx,
+    "member": _gen_members("T"),
+    "member_pair": _gen_members("T", "S"),
+    "member_triple": _gen_members("T", "S", "X"),
+    "member_tx": _gen_members("T", "X"),
     "vectors": _gen_vectors,
     "a_selfadjoint": _gen_a_selfadjoint,
     "a_normal": _gen_a_normal,
@@ -889,17 +847,13 @@ def catalog() -> list:
 # the runner
 
 
-def _expand_seminorms(ids, alphas, omega_t_grid, omega_psi_grid):
+def _expand_seminorms(ids, alphas):
     out = []
     for base in ids:
-        if base == "a_norm":
-            out.append(seminorms.a_norm_seminorm())
-        elif base == "big_omega":
-            out.append(seminorms.big_omega_seminorm(omega_t_grid, omega_psi_grid))
-        elif base == "a_alpha":
-            out.extend(seminorms.a_alpha_seminorm(a) for a in alphas)
+        if base == "a_alpha":
+            out.extend(seminorms.seminorm_by_name(base, a) for a in alphas)
         else:
-            raise KeyError(f"unknown seminorm id {base!r}")
+            out.append(seminorms.seminorm_by_name(base))
     return out
 
 
@@ -922,6 +876,10 @@ def _witness_dict(n_desc, dim, profile, idx, slack, lhs, rhs, a_mat, mats):
     }
 
 
+#: Angle grid of every radius in a suite run (echoed in the report).
+_THETA_GRID = 180
+
+
 def _run_one_instance(spec, cfg, grid, sems, theta_cfg, idx):
     dim, profile = grid[idx % len(grid)]
     n_desc = sems[(idx // len(grid)) % len(sems)]
@@ -937,9 +895,6 @@ def run_suite(
     cfg: InstanceGenConfig,
     only=None,
     threads: int = 1,
-    theta_grid: int = 180,
-    omega_t_grid: int = seminorms.OMEGA_T_GRID,
-    omega_psi_grid: int = seminorms.OMEGA_PSI_GRID,
     alphas=(0.0, 0.25, 0.5, 0.75, 1.0),
 ) -> SuiteReport:
     """Run the catalog over seeded random instances and aggregate slacks.
@@ -956,13 +911,11 @@ def run_suite(
             raise KeyError(f"unknown check ids: {sorted(unknown)}")
         specs = [s for s in specs if s.id in wanted]
     grid = [(n, p) for n in cfg.dims for p in cfg.rank_profiles]
-    theta_cfg = ThetaOptConfig(grid_points=theta_grid)
+    theta_cfg = ThetaOptConfig(grid_points=_THETA_GRID)
 
     results = []
     for spec in specs:
-        sems = _expand_seminorms(
-            spec.seminorm_ids, alphas, omega_t_grid, omega_psi_grid
-        )
+        sems = _expand_seminorms(spec.seminorm_ids, alphas)
         res = CheckResult(
             id=spec.id,
             statement=spec.statement,
@@ -1020,9 +973,9 @@ def run_suite(
         "instances_per_check": cfg.instances_per_check,
         "tol_rel": cfg.tol_rel,
         "rtol": cfg.rtol,
-        "theta_grid": theta_grid,
-        "omega_t_grid": omega_t_grid,
-        "omega_psi_grid": omega_psi_grid,
+        "theta_grid": _THETA_GRID,
+        "omega_t_grid": seminorms.OMEGA_T_GRID,
+        "omega_psi_grid": seminorms.OMEGA_PSI_GRID,
         "alphas": list(alphas),
         "only": sorted(only) if only else None,
     }
@@ -1055,15 +1008,7 @@ def replay_witness(report: dict, check_id: str) -> float:
     }
     if spec.generator == "vectors":
         mats = {k: np.ravel(v) for k, v in mats.items()}
-    base = wit["seminorm"]
-    if base == "a_alpha":
-        n_desc = seminorms.a_alpha_seminorm(wit["alpha"])
-    elif base == "big_omega":
-        n_desc = seminorms.big_omega_seminorm(
-            conf["omega_t_grid"], conf["omega_psi_grid"]
-        )
-    else:
-        n_desc = seminorms.a_norm_seminorm()
+    n_desc = seminorms.seminorm_by_name(wit["seminorm"], wit["alpha"])
     theta_cfg = ThetaOptConfig(grid_points=conf["theta_grid"])
     outcome = spec.evaluator(ctx, mats, n_desc, theta_cfg)
     return min(_slack(spec.kind, float(l), float(r)) for l, r in outcome.pairs)

@@ -146,8 +146,11 @@ def per_angle_radius(ctx, seminorm, t, cfg=None) -> float:
     r0 = re_a(ctx, t)
     i0 = im_a(ctx, t)
 
-    def f(theta):
-        return seminorm.evaluate(ctx, math.cos(theta) * r0 - math.sin(theta) * i0)
+    def f(thetas):
+        return np.array([
+            seminorm.evaluate(ctx, math.cos(theta) * r0 - math.sin(theta) * i0)
+            for theta in thetas
+        ])
 
     _, val = sup_on_circle(f, math.pi, cfg)
     return val

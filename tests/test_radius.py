@@ -12,12 +12,16 @@ from shnr import (
     a_operator_norm,
     big_omega_seminorm,
     build_context,
+    compress,
     generalized_radius,
     generalized_radius_im_form,
     omega_a,
     omega_a_fast,
+    spectral_norm,
     verify,
 )
+from shnr.linalg import herm
+from shnr.radius import sup_on_circle
 from conftest import ctx_grid, make_ctx
 
 A_NORM = a_norm_seminorm()
@@ -82,6 +86,36 @@ class TestEngines:
             ctx, A_NORM_GENERIC, t, with_error_bound=True
         )
         assert bound_gen >= 0
+
+    @pytest.mark.parametrize("ctx", ctx_grid(29), ids=lambda c: f"n{c.dim}r{c.rank}")
+    def test_fast_path_error_bound_matches_generic_path(self, ctx):
+        # one formula, N(Re_A T) + N(Im_A T); for the A-norm that is
+        # |herm T~| + |skew T~|
+        t = verify.random_member(ctx, seed=30, unit_norm=True)
+        _, fast = generalized_radius(ctx, A_NORM, t, with_error_bound=True)
+        _, generic = generalized_radius(ctx, A_NORM_GENERIC, t, with_error_bound=True)
+        assert fast == pytest.approx(generic, rel=1e-12, abs=0.0)
+        tt = compress(ctx, t)
+        lip = spectral_norm(herm(tt)) + spectral_norm((tt - tt.conj().T) / 2.0j)
+        assert fast == pytest.approx(lip * (math.pi / 720) / 2.0, rel=1e-12, abs=0.0)
+
+    def test_sup_on_circle_takes_the_grid_in_one_call(self):
+        cfg = ThetaOptConfig(grid_points=64)
+        calls = []
+
+        def f(thetas):
+            calls.append(np.array(thetas))
+            return np.cos(2.0 * (thetas - 1.0))
+
+        theta, val = sup_on_circle(f, math.pi, cfg)
+        np.testing.assert_array_equal(
+            calls[0], np.linspace(0.0, math.pi, 64, endpoint=False)
+        )
+        # the rest are golden-section steps, one angle each
+        assert all(c.shape == (1,) for c in calls[1:])
+        assert 2 <= len(calls) - 1 <= cfg.max_refine_iters + 2
+        assert theta == pytest.approx(1.0, abs=1e-6)
+        assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_coarse_grid_still_brackets(self):
         ctx = make_ctx(3, 2, seed=4)

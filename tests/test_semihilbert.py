@@ -372,3 +372,40 @@ class TestPredicates:
         assert is_a_positive(ctx, verify.random_a_positive(ctx, rng=rng))
         assert is_a_normal(ctx, verify.random_a_normal(ctx, rng=rng))
         assert is_a_unitary(ctx, verify.random_a_unitary(ctx, rng=rng))
+
+
+SCALES = (1e-12, 1.0, 1e12)
+CLASS_PREDICATES = {
+    "selfadjoint": is_a_selfadjoint,
+    "positive": is_a_positive,
+    "normal": is_a_normal,
+    "unitary": is_a_unitary,
+}
+
+
+class TestScaleFreeVerdicts:
+    @pytest.mark.parametrize("c", SCALES)
+    @pytest.mark.parametrize("d", SCALES)
+    def test_verdicts_invariant_under_scaling(self, c, d):
+        # every predicate on every operator gives the verdict for c A and
+        # d T that it gives for A and T; d T is not A-unitary, so
+        # is_a_unitary sees T itself
+        a = verify.random_psd(4, 3, seed=31)
+        ctx, ctx_c = build_context(a), build_context(c * a)
+        rng = np.random.default_rng(32)
+        ops = {
+            "selfadjoint": verify.random_a_selfadjoint(ctx, rng=rng, unit_norm=True),
+            "positive": verify.random_a_positive(ctx, rng=rng, unit_norm=True),
+            "normal": verify.random_a_normal(ctx, rng=rng, unit_norm=True),
+            "unitary": verify.random_a_unitary(ctx, rng=rng),
+            "generic": verify.random_member(ctx, rng=rng, unit_norm=True),
+        }
+        for name, t in ops.items():
+            verdicts = {k: pred(ctx, t) for k, pred in CLASS_PREDICATES.items()}
+            if name == "generic":
+                assert not any(verdicts.values())
+            else:
+                assert verdicts[name]
+            for k, pred in CLASS_PREDICATES.items():
+                scaled = t if k == "unitary" else d * t
+                assert pred(ctx_c, scaled) == verdicts[k], (name, k)

@@ -22,6 +22,7 @@ from shnr import (
     seminorm_by_name,
     verify,
 )
+from shnr.seminorms import OMEGA_REFINE_STARTS, _omega_solve
 from conftest import ctx_grid, make_ctx
 
 from oracles import dense_grid_omega, sampling_alpha_norm, sampling_omega_pairs
@@ -216,7 +217,8 @@ class TestBigOmega:
 
     @pytest.mark.parametrize("name,ctx,t", OMEGA_CASES, ids=[c[0] for c in OMEGA_CASES])
     def test_default_bracket_matches_dense_bracket(self, name, ctx, t):
-        dense = big_omega_seminorm(180, 360).evaluate(ctx, t)
+        # the same bracket and refinement on the dense 180 x 360 grid
+        dense = _omega_solve(compress(ctx, t)[None], 180, 360, OMEGA_REFINE_STARTS)[0]
         assert big_omega_seminorm().evaluate(ctx, t) == pytest.approx(dense, rel=1e-7)
 
     def test_pair_form_zero_and_hermitian(self):

@@ -147,11 +147,12 @@ class TestBatchedAngleLoop:
         ctx = make_ctx(n, 2, seed=740)
         t = verify.random_member(ctx, seed=741, unit_norm=True)
         generalized_radius(ctx, desc, t, CFG)
-        stacks = [s[0] for s in shapes if len(s) == 3]
-        singles = [s for s in shapes if len(s) == 2]
+        # golden-section steps are one-angle stacks: two to start, one per
+        # iteration; every other call is a grid stack
+        stacks = [s[0] for s in shapes if s != (1, n, n)]
+        golden = [s for s in shapes if s == (1, n, n)]
         per_stack = linalg.STACK_BYTES // (n * n * 16)
         assert len(stacks) == math.ceil(CFG.grid_points / per_stack)
         assert sum(stacks) == CFG.grid_points
-        # the rest are golden-section steps: two to start, one per iteration
-        assert len(singles) <= CFG.max_refine_iters + 2
+        assert len(golden) <= CFG.max_refine_iters + 2
         assert len(shapes) < CFG.grid_points

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -93,6 +94,35 @@ class TestCatalog:
         spec = {s.id: s for s in catalog()}["C26"]
         assert spec.max_instances == 1
         assert spec.seminorm_ids == ("big_omega",)
+
+
+class TestAngleSweeps:
+    @pytest.mark.parametrize("check_id", ["C02", "C07"])
+    def test_sweep_makes_stacked_calls(self, check_id):
+        # per form, one call on the whole 64-angle grid and one per golden
+        # step; outside the sweep only N(T) or N(Re_A T), N(Im_A T)
+        n = 3
+        shapes = []
+        base = shnr.a_norm_seminorm()
+
+        def counting(ctx, t):
+            shapes.append(np.shape(t))
+            return base.evaluate(ctx, t)
+
+        desc = dataclasses.replace(base, evaluate=counting)
+        ctx = make_ctx(n, 2, seed=50)
+        t = verify.random_member(ctx, seed=51, unit_norm=True)
+        spec = {s.id: s for s in catalog()}[check_id]
+        spec.evaluator(ctx, {"T": t}, desc, shnr.ThetaOptConfig(grid_points=180))
+        sweep = verify._CFG64
+        grid = [s for s in shapes if s == (sweep.grid_points, n, n)]
+        golden = [s for s in shapes if s == (1, n, n)]
+        singles = [s for s in shapes if s == (n, n)]
+        assert len(grid) == 2
+        assert len(golden) % 2 == 0
+        assert len(golden) <= 2 * (sweep.max_refine_iters + 2)
+        assert len(singles) <= 2
+        assert len(grid) + len(golden) + len(singles) == len(shapes)
 
 
 class TestSlack:
