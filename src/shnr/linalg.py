@@ -33,8 +33,9 @@ from .exceptions import (
 DEFAULT_RTOL = 1e-10
 
 #: Byte cap of one stack of matrices handed to a batched kernel: the angle
-#: engine, the alpha ascent and the Omega_A bracket split their batches
-#: into stacks no bigger (see :func:`stack_slices`).  It bounds their
+#: engine, the eigenvalue sweep, the closed-form Hermitian evaluations, the
+#: alpha ascent and the Omega_A bracket grid split their batches into
+#: stacks no bigger (see :func:`stack_slices`).  It bounds their
 #: scratch memory; larger caps raised the peak resident set measurably.
 STACK_BYTES = 1 << 16
 
@@ -139,6 +140,14 @@ def spectral_norm(m):
         return np.zeros(m.shape[:-2]) if m.ndim == 3 else 0.0
     s = np.linalg.svd(m, compute_uv=False)
     return s[:, 0] if m.ndim == 3 else float(s[0])
+
+
+def hermitian_abs_max(stack: np.ndarray) -> np.ndarray:
+    """Largest |eigenvalue| of each Hermitian matrix of a (k, n, n) stack,
+    from one batched eigenvalue call; this is each matrix's spectral norm."""
+    w = np.linalg.eigvalsh(stack)
+    # ascending eigenvalues: the largest modulus is -w_min or w_max
+    return np.maximum(-w[:, 0], w[:, -1])
 
 
 def pseudo_inverse(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:

@@ -24,7 +24,9 @@ stack (the stack contract of :class:`~shnr.seminorms.SeminormDescriptor`).
 For the A-operator seminorm an eigenvalue fast path replaces the generic
 objective: the compression of Re_A(e^{i theta} T) is the Hermitian part
 of e^{i theta} T~, so its objective is one batched Hermitian eigenvalue
-call.
+call per ``linalg.STACK_BYTES`` stack of angles.  The seminorms that
+:mod:`shnr.seminorms` provides evaluate the generic objective's A-real
+parts, which are A-selfadjoint, in closed form through the same kernel.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ def omega_a_fast(ctx, t, cfg: ThetaOptConfig | None = None) -> float:
 
     omega_A(T) = sup_theta of the largest |eigenvalue| of the Hermitian
     part of e^{i theta} T~; the objective is one batched eigvalsh call per
-    batch of angles.  Agrees with the generic engine under the A-operator
-    seminorm to the refinement tolerance.
+    ``linalg.STACK_BYTES`` stack of angles.  Agrees with the generic engine
+    under the A-operator seminorm to the refinement tolerance.
     """
     return _eigenvalue_sweep(semihilbert.compress(ctx, t), cfg or DEFAULT_THETA_CONFIG)
 
@@ -136,9 +138,10 @@ def _eigenvalue_sweep(tt: np.ndarray, cfg: ThetaOptConfig) -> float:
     h2 = (tt - tt.conj().T) / 2.0j
 
     def f(thetas):
-        w = np.linalg.eigvalsh(_theta_combos(h1, h2, thetas))
-        # ascending eigenvalues: the largest modulus is -w_min or w_max
-        return np.maximum(-w[:, 0], w[:, -1])
+        return np.concatenate([
+            linalg.hermitian_abs_max(_theta_combos(h1, h2, thetas[sl]))
+            for sl in linalg.stack_slices(thetas.size, h1.nbytes)
+        ])
 
     _, val = sup_on_circle(f, math.pi, cfg)
     return val

@@ -21,12 +21,18 @@ catalog to decide which theorems apply; the flags are declarations, not
 proofs, and :func:`probe_properties` measures them empirically.
 
 The two nontrivial evaluators are global optimizations over spheres.
-Both follow the same recipe: a deterministic bracketing stage (coefficient
-grid / eigenvector starts) followed by a monotone block-coordinate ascent
-that converges to a stationary point.  Every iterate is a feasible point,
-so returned values are certified lower bounds that the cross-form oracles
-(:func:`big_omega_pair_form`, dense sphere sampling in the tests) pin from
-the other side.
+On an A-selfadjoint argument both collapse to its A-operator seminorm:
+Omega_A(S) = sqrt(2) |S|_A and the alpha seminorm is |S|_A, because
+omega_A(S) = |S|_A.  A Hermitian compression, which is what every A-real
+part handed over by :func:`shnr.radius.generalized_radius` has, is
+therefore evaluated in closed form, by one batched Hermitian eigenvalue
+call per stack.  Every other compression goes to the evaluator's one
+general solver: a deterministic bracketing stage (coefficient grid /
+eigenvector starts) followed by a monotone block-coordinate ascent that
+converges to a stationary point.  Closed forms and iterates alike are at
+most the objective at a feasible point, so returned values are certified
+lower bounds that the cross-form oracles (:func:`big_omega_pair_form`, dense sphere
+sampling in the tests) pin from the other side.
 """
 
 from __future__ import annotations
@@ -97,36 +103,49 @@ def _vdot(v, w):
     return np.einsum("ki,ki->k", v.conj(), w)
 
 
+#: Relative skew |T~ - T~*|_F / |T~|_F up to which a compression counts as
+#: Hermitian and takes the closed form.  It sits at roundoff level (the
+#: compressed A-real parts of a generalized radius measure at most ~2e-15)
+#: and is deliberately not the context's ``rtol``, a rank-truncation
+#: tolerance that users may set loosely: the closed form drops the skew
+#: part, so this threshold bounds its error.
+_HERMITIAN_SKEW_RTOL = 1e-13
+
+
 def _hermitian_compressions(tts, scale):
-    """Per matrix: whether |T~ - T~*|_F <= 1e-7 |T~|_F (``scale`` = |T~|_F).
+    """Per matrix: whether |T~ - T~*|_F <= _HERMITIAN_SKEW_RTOL |T~|_F
+    (``scale`` = |T~|_F).
 
-    A Hermitian compression (an A-selfadjoint argument) lets both
-    evaluators take a cheaper start set.
+    A Hermitian compression (an A-selfadjoint argument) has a closed-form
+    value; the skew part S a Hermitian verdict lets through has
+    |S|_2 <= _HERMITIAN_SKEW_RTOL sqrt(n) |T~|_2 / 2.
     """
-    return np.linalg.norm(tts - ctranspose(tts), axis=(-2, -1)) <= 1e-7 * scale
+    skew = np.linalg.norm(tts - ctranspose(tts), axis=(-2, -1))
+    return skew <= _HERMITIAN_SKEW_RTOL * scale
 
 
-def _evaluate_stack(ctx, t, plan):
-    """Compress T (one operator or a stack) and solve its nonzero matrices.
+def _evaluate_stack(ctx, t, factor, width, solve):
+    """Compress T (one operator or a stack) and evaluate its nonzero matrices.
 
-    ``plan(hermitian)`` gives ``(width, solve)`` for the Hermitian or the
-    other compressions: ``solve(tts, scale)`` returns the values of a stack
-    of them (``scale`` their Frobenius norms) and batches ``width``
-    matrices per element, so it gets stacks whose batches fit
-    ``linalg.STACK_BYTES``.  A zero compression is worth 0; one operator
-    gives a float.
+    A Hermitian compression is worth ``factor`` times the largest
+    |eigenvalue| of herm(T~), one batched eigenvalue call per
+    ``linalg.STACK_BYTES`` stack.  ``solve(tts, scale)`` returns the
+    values of a stack of the other compressions (``scale`` their Frobenius
+    norms) and batches ``width`` matrices per element, so it gets stacks
+    whose batches fit ``linalg.STACK_BYTES``.  A zero compression is worth
+    0; one operator gives a float.
     """
     tt = semihilbert.compress(ctx, t)
     tts = tt[None] if tt.ndim == 2 else tt
     scale = np.linalg.norm(tts, axis=(-2, -1))
     hermitian = _hermitian_compressions(tts, scale)
     out = np.zeros(len(tts))
-    for kind in (True, False):
-        idx = np.flatnonzero((hermitian == kind) & (scale > 0.0))
-        if idx.size:
-            width, solve = plan(kind)
-            for sl in linalg.stack_slices(idx.size, width * tts[0].nbytes):
-                out[idx[sl]] = solve(tts[idx[sl]], scale[idx[sl]])
+    idx = np.flatnonzero(hermitian & (scale > 0.0))
+    for sl in linalg.stack_slices(idx.size, tts[0].nbytes):
+        out[idx[sl]] = factor * linalg.hermitian_abs_max(herm(tts[idx[sl]]))
+    idx = np.flatnonzero(~hermitian & (scale > 0.0))
+    for sl in linalg.stack_slices(idx.size, width * tts[0].nbytes):
+        out[idx[sl]] = solve(tts[idx[sl]], scale[idx[sl]])
     return float(out[0]) if tt.ndim == 2 else out
 
 
@@ -252,17 +271,19 @@ def _alpha_ascent(tts, scale, alpha, n_random, gtol=1e-9, max_iter=300):
 def _alpha_eval(ctx, t, alpha):
     """The alpha seminorm of T, or of each matrix of a (k, n, n) stack.
 
-    A general compression gets 32 starts.  Hermitian compressions
-    (A-selfadjoint arguments) have their maximizer at an eigenvector, so
-    the eigenvector starts plus a couple of random ones suffice there and
-    the start count is trimmed to 8.
+    A Hermitian compression H is worth max|eig(H)| = |H|_2 for every
+    alpha: |y* H y| <= |H y| <= |H|_2 for unit y, with equality at a top
+    eigenvector.  A compression T~ = H + S that passes the Hermitian test
+    with skew part S gets max|eig(H)| = |lambda| too, still a lower
+    bound: for the top eigenvector x of H, x* S x is imaginary, so
+    |T~ x| >= |x* T~ x| >= |lambda| and the objective at x is at least
+    lambda^2.  The supremum is at most |T~|_2 <= |H|_2 + |S|_2, so the gap
+    is at most |S|_2.  Every other compression gets the 32-start ascent
+    (6 eigenvector starts and 26 seeded random ones).
     """
-
-    def plan(hermitian):
-        n_random = (8 if hermitian else 32) - 6
-        return 6 + n_random, lambda tts, scale: _alpha_ascent(tts, scale, alpha, n_random)
-
-    return _evaluate_stack(ctx, t, plan)
+    return _evaluate_stack(
+        ctx, t, 1.0, 32, lambda tts, scale: _alpha_ascent(tts, scale, alpha, 26)
+    )
 
 
 def a_alpha_seminorm(alpha: float) -> SeminormDescriptor:
@@ -300,18 +321,22 @@ def _omega_pencil(tts):
 
 def _omega_grid(pencil, ts, psis):
     """lam_max(B*B) on the (t, psi) grid for each matrix: a (k, grid) array
-    from one batched Hermitian eigenvalue call."""
+    from one batched Hermitian eigenvalue call per ``linalg.STACK_BYTES``
+    stack of grid points (k matrices each)."""
     s2t = np.sin(2.0 * ts)
-    coeffs = (
+    coeffs = np.stack([
         np.repeat(np.cos(ts) ** 2, psis.size),
         np.repeat(np.sin(ts) ** 2, psis.size),
         np.outer(s2t, np.cos(psis)).ravel(),
         np.outer(s2t, np.sin(psis)).ravel(),
-    )
-    m_batch = coeffs[0][:, None, None] * pencil[0][:, None]
-    for c, p in zip(coeffs[1:], pencil[1:]):
-        m_batch += c[:, None, None] * p[:, None]
-    return np.linalg.eigvalsh(m_batch)[..., -1]
+    ])
+    out = []
+    for sl in linalg.stack_slices(coeffs.shape[1], pencil[0].nbytes):
+        m_batch = coeffs[0, sl, None, None] * pencil[0][:, None]
+        for c, p in zip(coeffs[1:, sl], pencil[1:]):
+            m_batch += c[:, None, None] * p[:, None]
+        out.append(np.linalg.eigvalsh(m_batch)[..., -1])
+    return np.concatenate(out, axis=1)
 
 
 def _pick_starts(order, n_psi, count):
@@ -392,15 +417,17 @@ def _omega_solve(tts, t_grid, psi_grid, refine_starts):
 
 
 def _big_omega_eval(ctx, t):
-    """Omega_A via grid bracketing plus block-coordinate refinement.
+    """Omega_A: closed form on Hermitian compressions, otherwise grid
+    bracketing plus block-coordinate refinement.
 
     ``t`` is one operator (a float is returned) or a (k, n, n) stack (k
     values); the matrices of a stack share each batched kernel call.
     The global phase of (alpha, beta) is eliminated by absolute
     homogeneity, leaving alpha = cos(t) >= 0 and beta = e^{i psi} sin(t)
     on t in [0, pi/2], psi in [0, 2 pi).  The grid only chooses where the
-    refinement starts; the default 12 x 24 grid is one batched eigenvalue
-    call of 288 matrices.  Why the coarse default is sound:
+    refinement starts; the default 12 x 24 grid is 288 matrices per
+    compression, in batched eigenvalue calls of at most
+    ``linalg.STACK_BYTES``.  Why the coarse default is sound:
 
     * every returned value is lam_max at a grid point or an iterate of
       :func:`_omega_refine`, i.e. |alpha T + beta T#|_A at a feasible
@@ -411,16 +438,21 @@ def _big_omega_eval(ctx, t):
     * :func:`big_omega_pair_form` stays the independent cross-check
       (catalog check C26 and the cross-oracle acceptance criterion).
 
-    A Hermitian compression makes the surface |cos t + e^{i psi} sin t|
-    sigma_max(T~), single-peaked per period, so a 6 x 8 grid with two
-    starts brackets it.
+    A Hermitian compression H (an A-selfadjoint argument) skips the grid
+    and the refinement: alpha H + beta H* = (alpha + beta) H, so Omega_A
+    is sqrt(2) max|eig(H)|, attained at (alpha, beta) = (1/sqrt2, 1/sqrt2).
+    A compression T~ = H + S that passes the Hermitian test with skew part
+    S gets the same value, |T~/sqrt2 + T~*/sqrt2|_2 at that feasible
+    point.  Writing alpha T~ + beta T~* = sqrt(2) (a H + b S) with
+    a = (alpha + beta)/sqrt2, b = (alpha - beta)/sqrt2 and
+    |a|^2 + |b|^2 = 1, the supremum is at most
+    sqrt(2) sqrt(|H|_2^2 + |S|_2^2), so the gap is at most
+    |S|_2^2 / (sqrt(2) |H|_2).
     """
-
-    def plan(hermitian):
-        grid = (6, 8, 2) if hermitian else (OMEGA_T_GRID, OMEGA_PSI_GRID, OMEGA_REFINE_STARTS)
-        return grid[0] * grid[1], lambda tts, scale: _omega_solve(tts, *grid)
-
-    return _evaluate_stack(ctx, t, plan)
+    grid = (OMEGA_T_GRID, OMEGA_PSI_GRID, OMEGA_REFINE_STARTS)
+    return _evaluate_stack(
+        ctx, t, math.sqrt(2.0), grid[0] * grid[1], lambda tts, scale: _omega_solve(tts, *grid)
+    )
 
 
 def big_omega_seminorm() -> SeminormDescriptor:

@@ -20,9 +20,16 @@ from shnr import (
     probe_properties,
     re_a,
     seminorm_by_name,
+    uncompress,
     verify,
 )
-from shnr.seminorms import OMEGA_REFINE_STARTS, _omega_solve
+from shnr.seminorms import (
+    OMEGA_PSI_GRID,
+    OMEGA_REFINE_STARTS,
+    OMEGA_T_GRID,
+    _alpha_ascent,
+    _omega_solve,
+)
 from conftest import ctx_grid, make_ctx
 
 from oracles import dense_grid_omega, sampling_alpha_norm, sampling_omega_pairs
@@ -53,6 +60,26 @@ def _omega_cases():
 
 
 OMEGA_CASES = _omega_cases()
+
+
+def _hermitian_stack(n, rank):
+    """A context and a stack of its A-selfadjoint operators: three seeded
+    ones and, for rank >= 2, one whose compression is diag(1, -1, 0.3)
+    (truncated to the rank) in the range eigenbasis of A, so the largest
+    |eigenvalue| is a pair +-1."""
+    ctx = make_ctx(n, rank, seed=1000 + 10 * n + rank)
+    rng = np.random.default_rng(1100 + 10 * n + rank)
+    ops = [verify.random_a_selfadjoint(ctx, rng=rng, unit_norm=True) for _ in range(3)]
+    if ctx.rank >= 2:
+        vk = ctx.eigenvectors[:, ctx.dim - ctx.rank:][:, :3]
+        d = np.array([1.0, -1.0, 0.3])[: vk.shape[1]]
+        ops.append(uncompress(ctx, (vk * d) @ vk.conj().T))
+    return ctx, np.stack(ops)
+
+
+HERMITIAN_CASES = [
+    (n, rank) for n in range(2, 17) for rank in sorted({n, max(1, n - 1), (n + 1) // 2})
+]
 
 
 class TestRegistry:
@@ -243,6 +270,78 @@ class TestBigOmega:
         report = probe_properties(ctx, om, trials=40, seed=2)
         assert report.consistent_with(om, tol=1e-7)
         assert report.violations["triangle"] <= 1e-8
+
+
+class TestHermitianClosedForm:
+    """The closed forms on Hermitian compressions (one eigvalsh per stack)
+    against oracles that do not use them: the general solvers called
+    directly, the pair form and dense sphere sampling."""
+
+    @pytest.mark.parametrize("n,rank", HERMITIAN_CASES)
+    def test_omega_matches_general_solver(self, n, rank):
+        ctx, stack = _hermitian_stack(n, rank)
+        want = _omega_solve(
+            compress(ctx, stack), OMEGA_T_GRID, OMEGA_PSI_GRID, OMEGA_REFINE_STARTS
+        )
+        got = big_omega_seminorm().evaluate(ctx, stack)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n,rank", HERMITIAN_CASES)
+    def test_alpha_matches_general_ascent(self, n, rank):
+        ctx, stack = _hermitian_stack(n, rank)
+        tts = compress(ctx, stack)
+        scale = np.linalg.norm(tts, axis=(-2, -1))
+        for alpha in (0.0, 0.5, 1.0):
+            want = _alpha_ascent(tts, scale, alpha, 26)
+            got = a_alpha_seminorm(alpha).evaluate(ctx, stack)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n,rank", HERMITIAN_CASES)
+    def test_omega_matches_pair_form(self, n, rank):
+        ctx, stack = _hermitian_stack(n, rank)
+        om = big_omega_seminorm()
+        for t in (stack[0], stack[-1]):
+            assert om.evaluate(ctx, t) == pytest.approx(
+                big_omega_pair_form(ctx, t), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("n,rank", HERMITIAN_CASES)
+    def test_alpha_dominates_sphere_samples(self, n, rank):
+        # the supremum dominates every sample, and at n <= 3 the samples
+        # come close to it
+        ctx, stack = _hermitian_stack(n, rank)
+        rng = np.random.default_rng(1200 + 10 * n + rank)
+        for alpha in (0.0, 0.5, 1.0):
+            got = a_alpha_seminorm(alpha).evaluate(ctx, stack)
+            for t, val in zip(stack, got):
+                sampled = sampling_alpha_norm(ctx, t, alpha, 20_000, rng)
+                assert sampled <= val * (1.0 + 1e-12)
+                if n <= 3:
+                    assert sampled >= val * (1.0 - 0.03)
+
+    def test_top_eigenvalue_pair(self):
+        ctx = build_context(np.eye(3))
+        t = np.diag([1.0, -1.0, 0.3])
+        assert big_omega_seminorm().evaluate(ctx, t) == pytest.approx(SQRT2, rel=1e-15)
+        for alpha in (0.0, 0.5, 1.0):
+            assert a_alpha_seminorm(alpha).evaluate(ctx, t) == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("rtol", [1e-10, 0.45])
+    @pytest.mark.parametrize("e", [1e-8, 0.2])
+    def test_near_hermitian_compression_takes_general_solver(self, rtol, e):
+        # herm(T~) = diag(1, -1) would give 1, while |T~|_A is 1 + e.  The
+        # skew part is 2e relative to |T~|_F: under a loose threshold such
+        # as 1e-7, and for e = 0.2 even under the context's loose rtol of
+        # 0.45, which must not decide the Hermitian test
+        ctx = build_context(np.eye(2), rtol=rtol)
+        t = np.array([[1.0, e], [-e, -1.0]])
+        assert a_operator_norm(ctx, t) == pytest.approx(1.0 + e, abs=1e-15)
+        assert a_alpha_seminorm(0.0).evaluate(ctx, t) == pytest.approx(
+            a_operator_norm(ctx, t), abs=1e-12
+        )
+        assert big_omega_seminorm().evaluate(ctx, t) == pytest.approx(
+            big_omega_pair_form(ctx, t), abs=1e-12
+        )
 
 
 class TestGamma:

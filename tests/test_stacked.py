@@ -9,6 +9,7 @@ must match the per-angle loop kept in ``tests/oracles.py``.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from shnr import (
     a_norm_seminorm,
     big_omega_seminorm,
     compress,
+    gamma_a,
     generalized_radius,
+    omega_a_fast,
     verify,
 )
 from shnr import linalg
@@ -156,3 +159,34 @@ class TestBatchedAngleLoop:
         assert sum(stacks) == CFG.grid_points
         assert len(golden) <= CFG.max_refine_iters + 2
         assert len(shapes) < CFG.grid_points
+
+
+class TestStackMemory:
+    @pytest.mark.parametrize("name", ["omega_a_fast", "gamma_a", "big_omega"])
+    def test_peak_under_one_mib_at_n16(self, name):
+        # the eigenvalue sweep's 720 angles and the Omega grid's 288 points
+        # are built in stacks of at most linalg.STACK_BYTES
+        ctx = make_ctx(16, 16, seed=1616)
+        t = verify.random_member(ctx, seed=1617, unit_norm=True)
+        call = {
+            "omega_a_fast": lambda: omega_a_fast(ctx, t),
+            "gamma_a": lambda: gamma_a(ctx, t),
+            "big_omega": lambda: big_omega_seminorm().evaluate(ctx, t),
+        }[name]
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_capped_batches_are_bit_identical(self, monkeypatch):
+        # 5 matrices a stack splits the sweep's 720 angles and the Omega
+        # grid's 288 points over many eigenvalue calls
+        ctx = make_ctx(4, 3, seed=1618)
+        t = verify.random_member(ctx, seed=1619, unit_norm=True)
+        want = (omega_a_fast(ctx, t), big_omega_seminorm().evaluate(ctx, t))
+        _small_stacks(monkeypatch, 5, 4)
+        assert (omega_a_fast(ctx, t), big_omega_seminorm().evaluate(ctx, t)) == want
