@@ -58,7 +58,7 @@ def as_matrix(data, name: str = "matrix") -> np.ndarray:
         m = m.reshape(1, -1)
     if m.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise DimensionMismatchError(f"{name} contains non-finite entries")
     return m
 
@@ -104,7 +104,8 @@ def hermitian_deviation(m: np.ndarray) -> float:
 
 
 def hermitian_eig(m, tol: float = 1e-8) -> HermitianEigen:
-    """Full spectral decomposition of a Hermitian (up to ``tol``) matrix.
+    """Full spectral decomposition of a matrix Hermitian up to ``tol``
+    times its largest entry modulus.
 
     The input is symmetrized as (M + M*)/2 before factorization, so the
     returned pair reconstructs the symmetrized matrix to machine accuracy
@@ -114,9 +115,12 @@ def hermitian_eig(m, tol: float = 1e-8) -> HermitianEigen:
     """
     m = require_square(as_matrix(m))
     dev = hermitian_deviation(m)
-    if dev > tol:
+    # relative to the largest entry, as in _psd_spectrum, so c*M gets the
+    # verdict of M for every scale c > 0
+    limit = tol * (float(np.max(np.abs(m))) if m.size else 0.0)
+    if dev > limit:
         raise NotHermitianError(
-            f"Hermitian deviation {dev:.3e} exceeds tolerance {tol:.3e}"
+            f"Hermitian deviation {dev:.3e} exceeds tolerance {tol:.3e} x max|m| = {limit:.3e}"
         )
     w, v = np.linalg.eigh(herm(m))
     return HermitianEigen(w, v)
@@ -135,7 +139,12 @@ def spectral_norm(m):
 
     A (k, n, m) stack gives the k norms as an array, from one batched SVD.
     """
-    m = as_matrix_stack(m)
+    return _spectral_norm(as_matrix_stack(m))
+
+
+def _spectral_norm(m: np.ndarray):
+    """:func:`spectral_norm` of an array that :func:`as_matrix_stack` has
+    already coerced and checked."""
     if m.size == 0 or not m.any():
         return np.zeros(m.shape[:-2]) if m.ndim == 3 else 0.0
     s = np.linalg.svd(m, compute_uv=False)

@@ -21,12 +21,15 @@ the A-real parts cos(theta) Re_A T - sin(theta) Im_A T as (k, n, n) stacks
 of at most ``linalg.STACK_BYTES`` and makes one ``N.evaluate`` call per
 stack (the stack contract of :class:`~shnr.seminorms.SeminormDescriptor`).
 
-For the A-operator seminorm an eigenvalue fast path replaces the generic
-objective: the compression of Re_A(e^{i theta} T) is the Hermitian part
-of e^{i theta} T~, so its objective is one batched Hermitian eigenvalue
-call per ``linalg.STACK_BYTES`` stack of angles.  The seminorms that
-:mod:`shnr.seminorms` provides evaluate the generic objective's A-real
-parts, which are A-selfadjoint, in closed form through the same kernel.
+For the A-operator seminorm the radius is omega_A(T), the classical
+numerical radius of the compression T~, and no angle grid is needed: the
+level-set iteration of He & Watson (IMA J. Numer. Anal. 17, 1997) and
+Mengi & Overton (IMA J. Numer. Anal. 25, 2005) finds, at a level r, every
+angle where r is an eigenvalue of the Hermitian part of e^{i theta} T~,
+raises r to the largest eigenvalue at the midpoints of those angles, and
+stops when a level just above r has no crossing, which certifies r.  The
+seminorms that :mod:`shnr.seminorms` provides evaluate the generic
+objective's A-real parts, which are A-selfadjoint, in closed form.
 """
 
 from __future__ import annotations
@@ -119,45 +122,139 @@ def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndar
     return np.cos(thetas)[:, None, None] * r0 - np.sin(thetas)[:, None, None] * i0
 
 
-def omega_a_fast(ctx, t, cfg: ThetaOptConfig | None = None) -> float:
-    """A-numerical radius via the compression's eigenvalue sweep.
+def omega_a_fast(ctx, t) -> float:
+    """A-numerical radius by the level-set iteration.
 
-    omega_A(T) = sup_theta of the largest |eigenvalue| of the Hermitian
-    part of e^{i theta} T~; the objective is one batched eigvalsh call per
-    ``linalg.STACK_BYTES`` stack of angles.  Agrees with the generic engine
-    under the A-operator seminorm to the refinement tolerance.
+    omega_A(T) is the classical numerical radius of the compression T~,
+    restricted to range(A); see :func:`_level_set_radius`.  The value is
+    attained at an angle, and the radius exceeds it by at most the
+    iteration's margin: 2 n eps |T~|_F relative to the value, or sqrt(eps)
+    when the pencil is singular at the last level.
     """
-    return _eigenvalue_sweep(semihilbert.compress(ctx, t), cfg or DEFAULT_THETA_CONFIG)
+    return _level_set_radius(_range_block(ctx, semihilbert.compress(ctx, t)))
 
 
-def _eigenvalue_sweep(tt: np.ndarray, cfg: ThetaOptConfig) -> float:
-    """The classical numerical radius of the compression ``tt``."""
-    if not tt.any():
+def _range_block(ctx, tt: np.ndarray) -> np.ndarray:
+    """The rank x rank block of a compression on range(A): T~ vanishes on
+    ker A and maps into range(A), so the block has T~'s numerical radius."""
+    vk = ctx.eigenvectors[:, ctx.dim - ctx.rank:]
+    return vk.conj().T @ tt @ vk
+
+
+_EPS = np.finfo(float).eps
+_SQRT_EPS = math.sqrt(_EPS)
+#: Moebius shift of the level-set pencil: a fixed point of the open unit
+#: disk off the real and imaginary axes, where structured inputs (diagonal,
+#: Jordan) put their eigenvalues.
+_SHIFT = 0.5 * np.exp(1j)
+#: Starting angles: eight on [0, pi), which with +-eigenvalues are sixteen
+#: directions, so the first level is at least cos(pi / 16) of the radius.
+_START = np.arange(8) * (math.pi / 8)
+#: Levels never needed more than four in the tests; the cap only bounds a loop
+#: that raises the level by a factor (1 + margin) at each pass.
+_MAX_LEVELS = 64
+
+
+def _abs_max_at(h1, h2, thetas):
+    """Largest |eigenvalue| of cos(theta) h1 - sin(theta) h2 at each angle,
+    in stacks of at most ``linalg.STACK_BYTES``: a value attained by the
+    Hermitian part of e^{i theta} M or of e^{i (theta + pi)} M."""
+    return np.concatenate([
+        linalg.hermitian_abs_max(_theta_combos(h1, h2, thetas[sl]))
+        for sl in linalg.stack_slices(thetas.size, h1.nbytes)
+    ])
+
+
+def _level_set_radius(m: np.ndarray) -> float:
+    """Numerical radius max |x* M x| over unit x of a square matrix M.
+
+    With H(theta) the Hermitian part of e^{i theta} M, the radius is the
+    maximum over theta of lam_max(H(theta)), and a level l is an eigenvalue
+    of H(theta) exactly when z = e^{i theta} is a unit-modulus eigenvalue
+    of the pencil z^2 M - 2 l z I + M*.  Each pass takes the current value
+    r (attained at some angle), sets the level l = r (1 + margin), finds the
+    crossing angles from the pencil, and evaluates lam_max at the midpoint
+    of every arc between consecutive crossings in one batched eigenvalue
+    call.  Every arc where lam_max exceeds l is bounded by two crossings,
+    so if no midpoint exceeds l (in particular, if there is no crossing)
+    the radius is at most l: r is returned, certified to within the
+    margin.  Otherwise r rises above l and the pass repeats; near the
+    maximum the rise is quadratic.
+
+    The pencil's leading coefficient M is singular for singular M, so the
+    Moebius substitution z = (w + a) / (1 + conj(a) w) with the fixed shift
+    a = ``_SHIFT`` maps it to w^2 B2 + w B1 + B0, which keeps the unit
+    circle; its companion matrix needs B2^{-1}, built from one SVD.  The
+    tolerances come from backward errors rather than literals:
+
+    * the margin is 2 n eps |M|_F / r, the backward error of the eigenvalue
+      calls that give r, so a roundoff rise cannot pass for a crossing arc;
+    * B2 = conj(a)^2 P(1 / conj(a)) is singular for every shift when some
+      eigenvalue of H(theta) is the same for all theta and equals l (the
+      pencil is singular; W(M) a disk, as for a nilpotent M, puts it at the
+      answer).  When the SVD says B2 is within sqrt(eps) of singular, the
+      level moves to r (1 + sqrt(eps)), so B2^{-1} keeps sqrt(eps) relative
+      accuracy and the certificate holds to sqrt(eps) at such levels;
+      singular values are floored at eps |B2| either way, a perturbation
+      within the SVD's own backward error;
+    * a crossing is an eigenvalue w with ||w| - 1| <= sqrt(2n eps) |C|_F,
+      C the companion matrix: the eigenvalue solver's backward error is
+      about 2n eps |C|_F, and a double eigenvalue (two crossings about to
+      merge) moves by the square root of that.  Counting a near-circle
+      eigenvalue that is not a crossing only adds a midpoint.
+    """
+    n = m.shape[0]
+    if not m.any():
         return 0.0
-    h1 = herm(tt)
-    h2 = (tt - tt.conj().T) / 2.0j
-
-    def f(thetas):
-        return np.concatenate([
-            linalg.hermitian_abs_max(_theta_combos(h1, h2, thetas[sl]))
-            for sl in linalg.stack_slices(thetas.size, h1.nbytes)
-        ])
-
-    _, val = sup_on_circle(f, math.pi, cfg)
-    return val
+    a = _SHIFT
+    ac = a.conjugate()
+    mh = m.conj().T
+    h1 = herm(m)
+    h2 = (m - mh) / 2.0j
+    eye = np.eye(n)
+    # B2 = lead - 2 l conj(a) I and [B0, B1] = rest - l drest
+    lead = m + ac * ac * mh
+    rest = np.hstack((a * a * m + mh, 2.0 * (a * m + ac * mh)))
+    drest = np.hstack((2.0 * a * eye, 2.0 * (1.0 + abs(a) ** 2) * eye))
+    comp = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    comp[:n, n:] = eye
+    r = float(_abs_max_at(h1, h2, _START).max())
+    fine = 2 * n * _EPS * float(np.linalg.norm(m)) / r
+    on_circle = math.sqrt(2 * n * _EPS)
+    for _ in range(_MAX_LEVELS):
+        for margin in (fine, _SQRT_EPS):
+            level = r * (1.0 + margin)
+            u, s, vh = np.linalg.svd(lead - (2.0 * level * ac) * eye)
+            if s[-1] >= _SQRT_EPS * s[0]:
+                break
+        inv = vh.conj().T / np.maximum(s, _EPS * s[0])
+        comp[n:] = -inv @ (u.conj().T @ (rest - level * drest))
+        w = np.linalg.eigvals(comp)
+        w = w[np.abs(np.abs(w) - 1.0) <= on_circle * np.linalg.norm(comp)]
+        if not w.size:
+            return r
+        # arg z for each crossing w, and the midpoint of each arc between them
+        th = np.sort(np.angle(w + a) - np.angle(1.0 + ac * w))
+        mids = (th + np.append(th[1:], th[0] + 2.0 * math.pi)) / 2.0
+        best = float(_abs_max_at(h1, h2, mids).max())
+        if best <= level:
+            return max(r, best)
+        r = best
+    return r
 
 
 def generalized_radius(ctx, seminorm, t, cfg: ThetaOptConfig | None = None,
                        with_error_bound: bool = False):
     """sup over theta of N(Re_A(e^{i theta} T)) for the given seminorm.
 
-    Dispatches to the eigenvalue fast path, which compresses T as
-    validated here without checking it again, when ``seminorm`` is the
-    plain A-operator seminorm.  Otherwise the objective hands the angles to
-    ``seminorm.evaluate`` as stacks of A-real parts, each at most
-    ``linalg.STACK_BYTES``.  With ``with_error_bound`` the certified
-    one-sided grid bound L * h / 2 is returned alongside the value, with
-    L = N(Re_A T) + N(Im_A T) for every seminorm.
+    When ``seminorm`` is the plain A-operator seminorm the value is
+    omega_A(T) from the level-set iteration (:func:`omega_a_fast`), on T as
+    validated here, and ``cfg`` plays no part in it.  Otherwise the
+    objective hands the angles to ``seminorm.evaluate`` as stacks of A-real
+    parts, each at most ``linalg.STACK_BYTES``.  With ``with_error_bound``
+    the certified one-sided grid bound L * h / 2 is returned alongside the
+    value, with L = N(Re_A T) + N(Im_A T) for every seminorm (for the
+    A-norm it still holds, far above the level-set margin).
     """
     cfg = cfg or DEFAULT_THETA_CONFIG
     t = semihilbert.require_member(ctx, t)
@@ -167,7 +264,7 @@ def generalized_radius(ctx, seminorm, t, cfg: ThetaOptConfig | None = None,
     r0 = (t + adj) / 2.0
     i0 = (t - adj) / 2.0j
     if getattr(seminorm, "id", None) == "a_norm":
-        val = _eigenvalue_sweep(semihilbert._compress_member(ctx, t), cfg)
+        val = _level_set_radius(_range_block(ctx, semihilbert._compress_member(ctx, t)))
     else:
         def f(thetas):
             return np.concatenate([

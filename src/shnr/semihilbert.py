@@ -64,6 +64,7 @@ class SemiHilbertContext:
     scale: float             # largest eigenvalue of A
     eigenvalues: np.ndarray = field(repr=False)   # ascending spectrum of A
     eigenvectors: np.ndarray = field(repr=False)  # matching eigenvector columns
+    kernel_proj: np.ndarray = field(repr=False)   # I - proj, projector onto ker A
 
     @property
     def dim(self) -> int:
@@ -102,6 +103,7 @@ def build_context(a, rtol: float = DEFAULT_RTOL) -> SemiHilbertContext:
         scale=lam_max,
         eigenvalues=w,
         eigenvectors=v,
+        kernel_proj=np.eye(a.shape[0]) - proj,
     )
 
 
@@ -127,8 +129,19 @@ def membership_residual(ctx: SemiHilbertContext, t):
 
     A (k, n, n) stack gives the k residuals as an array.
     """
-    t = _check_shape(ctx, t, stack=True)
-    return linalg.spectral_norm((np.eye(ctx.dim) - ctx.proj) @ ctranspose(t) @ ctx.a)
+    return _residual(ctx, _check_shape(ctx, t, stack=True))
+
+
+def _residual(ctx: SemiHilbertContext, t: np.ndarray):
+    """:func:`membership_residual` of a T that :func:`_check_shape` has checked."""
+    return linalg._spectral_norm(ctx.kernel_proj @ ctranspose(t) @ ctx.a)
+
+
+def _member_verdict(ctx: SemiHilbertContext, t: np.ndarray):
+    """Residual of a checked T or stack, and whether it exceeds the
+    tolerance rtol |A| (1 + |T|)."""
+    res = _residual(ctx, t)
+    return res, res > ctx.tol(linalg._spectral_norm(t))
 
 
 def is_member(ctx: SemiHilbertContext, t) -> bool:
@@ -137,8 +150,7 @@ def is_member(ctx: SemiHilbertContext, t) -> bool:
     Finite dimension collapses the range condition and A-boundedness into
     the single kernel-invariance predicate tested here.
     """
-    t = _check_shape(ctx, t)
-    return membership_residual(ctx, t) <= ctx.tol(linalg.spectral_norm(t))
+    return not _member_verdict(ctx, _check_shape(ctx, t))[1]
 
 
 def _check_shape(ctx: SemiHilbertContext, t, stack: bool = False) -> np.ndarray:
@@ -154,11 +166,10 @@ def require_member(ctx: SemiHilbertContext, t) -> np.ndarray:
 
     A (k, n, n) stack is checked at once, by one batched residual and one
     batched norm, with the per-matrix tolerance of a single operator; the
-    error names the first failing index.
+    error names the first failing index.  T is coerced and checked once.
     """
     t = _check_shape(ctx, t, stack=True)
-    res = membership_residual(ctx, t)
-    bad = res > ctx.tol(linalg.spectral_norm(t))
+    res, bad = _member_verdict(ctx, t)
     if t.ndim == 3 and bad.any():
         i = int(np.argmax(bad))
         raise NotMemberError(
@@ -231,15 +242,15 @@ def a_operator_norm(ctx: SemiHilbertContext, t) -> float:
     return linalg.spectral_norm(compress(ctx, t))
 
 
-def omega_a(ctx: SemiHilbertContext, t, cfg=None) -> float:
+def omega_a(ctx: SemiHilbertContext, t) -> float:
     """A-numerical radius sup |<Tx, x>_A| over A-unit vectors.
 
-    Computed as the classical numerical radius of the compression via the
-    angle-sweep engine in :mod:`shnr.radius`.
+    Computed as the classical numerical radius of the compression by the
+    certified level-set iteration of :func:`shnr.radius.omega_a_fast`.
     """
     from . import radius  # local import: radius builds on this module
 
-    return radius.omega_a_fast(ctx, t, cfg)
+    return radius.omega_a_fast(ctx, t)
 
 
 # The class predicates below compare each defect with rtol times the size it

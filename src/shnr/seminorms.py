@@ -506,7 +506,7 @@ def big_omega_pair_form(ctx, t, n_starts: int = 24, max_iter: int = 300) -> floa
     return best
 
 
-def gamma_a(ctx, t, cfg=None) -> float:
+def gamma_a(ctx, t) -> float:
     """min of sqrt(|T T# + T# T|_A) and sqrt(|T|_A^2 + omega_A(T^2)).
 
     Both branches are upper bounds for Omega_A; their minimum sits between
@@ -517,7 +517,7 @@ def gamma_a(ctx, t, cfg=None) -> float:
     branch1 = math.sqrt(semihilbert.a_operator_norm(ctx, ts @ t + t @ ts))
     branch2 = math.sqrt(
         semihilbert.a_operator_norm(ctx, t) ** 2
-        + semihilbert.omega_a(ctx, t @ t, cfg)
+        + semihilbert.omega_a(ctx, t @ t)
     )
     return min(branch1, branch2)
 

@@ -488,7 +488,7 @@ def _eval_c16(ctx, mats, n_desc, cfg):
 def _eval_c17(ctx, mats, n_desc, cfg):
     t = mats["T"]
     na = a_operator_norm(ctx, t)
-    wa = radius.omega_a_fast(ctx, t, cfg)
+    wa = radius.omega_a_fast(ctx, t)
     return InstanceOutcome([(na / 2, wa), (wa, na)])
 
 
@@ -525,7 +525,7 @@ def _eval_c20(ctx, mats, n_desc, cfg):
 def _eval_c21(ctx, mats, n_desc, cfg):
     t = mats["T"]
     return InstanceOutcome(
-        [(_w(ctx, n_desc, t, cfg), radius.omega_a_fast(ctx, t, cfg))]
+        [(_w(ctx, n_desc, t, cfg), radius.omega_a_fast(ctx, t))]
     )
 
 
@@ -533,7 +533,7 @@ def _eval_c22(ctx, mats, n_desc, cfg):
     t = mats["T"]
     na = a_operator_norm(ctx, t)
     om = n_desc.evaluate(ctx, t)
-    gam = seminorms.gamma_a(ctx, t, cfg)
+    gam = seminorms.gamma_a(ctx, t)
     return InstanceOutcome([(na, om), (om, gam), (gam, _SQRT2 * na)])
 
 
@@ -547,7 +547,7 @@ def _eval_c23(ctx, mats, n_desc, cfg):
 def _eval_c24(ctx, mats, n_desc, cfg):
     t = mats["T"]
     return InstanceOutcome(
-        [(_w(ctx, n_desc, t, cfg), _SQRT2 * radius.omega_a_fast(ctx, t, cfg))]
+        [(_w(ctx, n_desc, t, cfg), _SQRT2 * radius.omega_a_fast(ctx, t))]
     )
 
 

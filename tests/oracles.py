@@ -3,7 +3,8 @@
 Each oracle reaches the same quantity as the library through a different
 algorithm (characteristic polynomial roots, power iteration, dense sphere
 sampling, direct vector ascent, a dense coefficient grid by SVD, one
-evaluator call per angle) so that agreement is evidence, not tautology.
+evaluator call per angle, an angle grid with golden-section refinement, a
+dense angle grid) so that agreement is evidence, not tautology.
 They are deliberately slow and simple.
 """
 
@@ -11,8 +12,9 @@ import math
 
 import numpy as np
 
-from shnr import ThetaOptConfig, compress, im_a, re_a
-from shnr.radius import sup_on_circle
+from shnr import ThetaOptConfig, compress, im_a, linalg, re_a
+from shnr.linalg import herm
+from shnr.radius import _theta_combos, sup_on_circle
 
 
 def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
@@ -154,3 +156,35 @@ def per_angle_radius(ctx, seminorm, t, cfg=None) -> float:
 
     _, val = sup_on_circle(f, math.pi, cfg)
     return val
+
+
+def eigenvalue_sweep(tt: np.ndarray, cfg: ThetaOptConfig) -> float:
+    """The classical numerical radius of the compression ``tt``."""
+    if not tt.any():
+        return 0.0
+    h1 = herm(tt)
+    h2 = (tt - tt.conj().T) / 2.0j
+
+    def f(thetas):
+        return np.concatenate([
+            linalg.hermitian_abs_max(_theta_combos(h1, h2, thetas[sl]))
+            for sl in linalg.stack_slices(thetas.size, h1.nbytes)
+        ])
+
+    _, val = sup_on_circle(f, math.pi, cfg)
+    return val
+
+
+def dense_grid_radius(tt: np.ndarray, angles: int = 20000) -> float:
+    """max |eigenvalue| of the Hermitian part of e^{i theta} T~ over a
+    uniform grid of [0, pi), by plain ``eigvalsh``: no refinement, no
+    pencil.  A value attained at a grid angle, so a lower bound of the
+    numerical radius that the library's value must dominate."""
+    h1 = (tt + tt.conj().T) / 2.0
+    h2 = (tt - tt.conj().T) / 2.0j
+    best = 0.0
+    for thetas in np.array_split(np.linspace(0.0, np.pi, angles, endpoint=False), 40):
+        w = np.linalg.eigvalsh(np.cos(thetas)[:, None, None] * h1
+                               - np.sin(thetas)[:, None, None] * h2)
+        best = max(best, float(np.abs(w).max()))
+    return best

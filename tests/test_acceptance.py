@@ -85,7 +85,7 @@ def test_criterion_2_omega_scaling_law():
         for i in range(100):
             ctx, t = _instance(dim, PROFILES[i % 3], i)
             w_om = generalized_radius(ctx, om, t, CFG180)
-            w_a = omega_a_fast(ctx, t, CFG180)
+            w_a = omega_a_fast(ctx, t)
             worst = max(worst, abs(w_om - SQRT2 * w_a) / max(w_a, 1e-300))
     _verdict(
         "criterion 2 (w_Omega = sqrt(2) w_A on 100 x 3 dims, all profiles)",
@@ -99,7 +99,7 @@ def test_criterion_3_alpha_collapse():
     for i in range(100):
         dim = (2, 3, 4)[i % 3]
         ctx, t = _instance(dim, PROFILES[(i // 3) % 3], 1000 + i)
-        w_a = omega_a_fast(ctx, t, CFG180)
+        w_a = omega_a_fast(ctx, t)
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
             w_alpha = generalized_radius(
                 ctx, shnr.a_alpha_seminorm(alpha), t, CFG180

@@ -65,6 +65,35 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-10)
 
+    def test_rejects_skew_far_above_its_scale(self):
+        # the skew is 1000x the matrix's other entries but below 1e-8
+        with pytest.raises(NotHermitianError):
+            hermitian_eig(np.array([[1e-12, 1e-9j], [0.0, 0.0]]))
+
+    @given(
+        which=st.integers(0, 3),
+        exponent=st.floats(-150.0, 150.0, allow_nan=False),
+    )
+    def test_verdict_is_scale_free(self, which, exponent):
+        m = random_hermitian(4, seed=21)
+        skew = random_complex((4, 4), seed=22)
+        m = [
+            m,
+            m + 1e-11 * skew,
+            m + 1e-6 * skew,
+            np.array([[1e-12, 1e-9j], [0.0, 0.0]]),
+        ][which]
+        c = 10.0 ** exponent
+
+        def accepts(x):
+            try:
+                hermitian_eig(x)
+            except NotHermitianError:
+                return False
+            return True
+
+        assert accepts(c * m) == accepts(m)
+
     def test_unitary_conjugation_invariance(self):
         m = random_hermitian(4, seed=3)
         g = random_complex((4, 4), seed=4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shnr import (
+    InstanceGenConfig,
     SeminormDescriptor,
     ThetaOptConfig,
     a_adjoint,
@@ -13,6 +14,7 @@ from shnr import (
     big_omega_seminorm,
     build_context,
     compress,
+    gamma_a,
     generalized_radius,
     generalized_radius_im_form,
     omega_a,
@@ -20,9 +22,11 @@ from shnr import (
     spectral_norm,
     verify,
 )
+from shnr import radius
 from shnr.linalg import herm
 from shnr.radius import sup_on_circle
 from conftest import ctx_grid, make_ctx
+from oracles import dense_grid_radius, eigenvalue_sweep
 
 A_NORM = a_norm_seminorm()
 # same evaluator, different id: forces the generic grid loop instead of the
@@ -78,9 +82,7 @@ class TestEngines:
         val, bound = generalized_radius(ctx, A_NORM, t, with_error_bound=True)
         assert bound >= 0
         # the certified bound must cover a much denser sweep
-        dense = generalized_radius(
-            ctx, A_NORM, t, ThetaOptConfig(grid_points=4096)
-        )
+        dense = eigenvalue_sweep(compress(ctx, t), ThetaOptConfig(grid_points=4096))
         assert dense <= val + bound + 1e-12
         _, bound_gen = generalized_radius(
             ctx, A_NORM_GENERIC, t, with_error_bound=True
@@ -120,9 +122,145 @@ class TestEngines:
     def test_coarse_grid_still_brackets(self):
         ctx = make_ctx(3, 2, seed=4)
         t = verify.random_member(ctx, seed=5, unit_norm=True)
-        coarse = generalized_radius(ctx, A_NORM, t, ThetaOptConfig(grid_points=32))
-        fine = generalized_radius(ctx, A_NORM, t)
+        coarse = generalized_radius(ctx, A_NORM_GENERIC, t, ThetaOptConfig(grid_points=32))
+        fine = generalized_radius(ctx, A_NORM_GENERIC, t)
         assert coarse == pytest.approx(fine, rel=1e-7)
+
+
+def _seeded_cases():
+    """(n, rank, seed) for n = 2..16, ranks full, n-1 and half, two seeds."""
+    return [
+        (n, rank, seed)
+        for n in range(2, 17)
+        for rank in sorted({n, n - 1, (n + 1) // 2})
+        for seed in (0, 1)
+    ]
+
+
+def _jordan(k):
+    return np.diag(np.ones(k - 1), 1).astype(complex)
+
+
+def _direct_sum(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    i = 0
+    for b in blocks:
+        k = b.shape[0]
+        out[i:i + k, i:i + k] = b
+        i += k
+    return out
+
+
+# (name, T with A = I, exact numerical radius or None)
+ADVERSARIAL = [
+    ("jordan2", _jordan(2), 0.5),
+    ("jordan3", _jordan(3), math.cos(math.pi / 4)),
+    ("jordan5", _jordan(5), math.cos(math.pi / 6)),
+    ("jordan_plus_phase", _direct_sum(_jordan(2), np.array([[np.exp(0.9j)]])), 1.0),
+    ("jordan_plus_half", _direct_sum(_jordan(2), np.array([[0.5]])), 0.5),
+    # 0.501 lies between the starting directions, so the first level is the
+    # Jordan block's constant eigenvalue 1/2, where the pencil is singular
+    ("jordan_plus_0.501_off_start",
+     _direct_sum(_jordan(2), np.array([[0.501 * np.exp(1j * math.pi / 16)]])), 0.501),
+    ("jordan3_plus_half_phase",
+     _direct_sum(_jordan(3), np.array([[0.5 * np.exp(2.2j)]])), math.cos(math.pi / 4)),
+    ("tie_diag2", np.diag([1.0, -1.0]).astype(complex), 1.0),
+    ("tie_diag4", np.diag([1.0, 1j, -1.0, -1j]), 1.0),
+    ("strictly_upper5",
+     np.triu(np.random.default_rng(55).standard_normal((5, 5))
+             + 1j * np.random.default_rng(56).standard_normal((5, 5)), 1), None),
+    ("identity", np.eye(3, dtype=complex), 1.0),
+]
+
+
+class TestLevelSet:
+    """The level-set A-numerical radius against the grid-plus-golden sweep
+    it replaced (``oracles.eigenvalue_sweep``, 720 angles) and against a
+    20,000-angle dense grid, which it must never fall below."""
+
+    @staticmethod
+    def _check(ctx, t, exact=None):
+        got = omega_a_fast(ctx, t)
+        tt = compress(ctx, t)
+        ref = eigenvalue_sweep(tt, ThetaOptConfig())
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert got >= dense_grid_radius(tt) * (1.0 - 1e-14)
+        if exact is not None:
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+        return got
+
+    @pytest.mark.parametrize("n,rank,seed", _seeded_cases(),
+                             ids=lambda v: str(v))
+    def test_seeded_members(self, n, rank, seed):
+        ctx = make_ctx(n, rank, seed=3000 + 100 * n + 10 * rank + seed)
+        t = verify.random_member(ctx, seed=4000 + 100 * n + 10 * rank + seed,
+                                 unit_norm=True)
+        self._check(ctx, t)
+
+    @pytest.mark.parametrize("name,t,exact", ADVERSARIAL, ids=[c[0] for c in ADVERSARIAL])
+    def test_adversarial(self, name, t, exact):
+        self._check(build_context(np.eye(t.shape[0])), t, exact)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_constant_branch_below_radius_unitarily_mixed(self, seed):
+        # a unitary similarity keeps W(T) but couples the Jordan block's
+        # singular pencil to the rest, which an exactly block-diagonal T hides
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        t = _direct_sum(_jordan(2), np.array([[0.501 * np.exp(1j * math.pi / 16)]]))
+        self._check(build_context(np.eye(3)), q @ t @ q.conj().T, 0.501)
+
+    def test_zero_operator(self):
+        ctx = make_ctx(4, 2, seed=60)
+        assert omega_a_fast(ctx, np.zeros((4, 4))) == 0.0
+
+    def test_rank_one_a(self):
+        # on a one-dimensional range the radius is |<T x, x>_A| of its unit x
+        ctx = make_ctx(4, 1, seed=61)
+        t = verify.random_member(ctx, seed=62, unit_norm=True)
+        x = ctx.eigenvectors[:, -1] / math.sqrt(ctx.eigenvalues[-1])
+        exact = abs(complex(x.conj() @ ctx.a @ t @ x))
+        self._check(ctx, t, exact)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scales(self, scale):
+        ctx = make_ctx(5, 4, seed=63)
+        t = verify.random_member(ctx, seed=64, unit_norm=True)
+        w = omega_a_fast(ctx, t)
+        assert self._check(ctx, scale * t) == pytest.approx(scale * w, rel=1e-12, abs=0.0)
+        assert self._check(build_context(np.eye(5)), scale * _jordan(5)) == pytest.approx(
+            scale * math.cos(math.pi / 6), rel=1e-12, abs=0.0)
+
+    def test_c27_nilpotent_instance(self):
+        # instance 2 of this run is a square-zero T with A = I: W(T~) is a
+        # disk, so the level-set pencil is singular at the answer
+        cfg = InstanceGenConfig(seed=1303240053, instances_per_check=45)
+        report = verify.run_suite(cfg, only=["C27"])
+        (chk,) = report.checks
+        assert chk.incomplete == 0 and chk.violations == 0
+        spec = next(s for s in verify.catalog() if s.id == "C27")
+        dim, profile = [(n, p) for n in cfg.dims for p in cfg.rank_profiles][2]
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 27, 2]))
+        ctx, mats = verify._GENERATORS[spec.generator](dim, profile, rng, cfg.rtol, 2)
+        t = mats["T"]
+        assert np.abs(t @ t).max() < 1e-15
+        self._check(ctx, t, a_operator_norm(ctx, t) / 2.0)
+
+    def test_a_norm_path_makes_no_angle_sweep(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("angle sweep on the A-norm path")
+
+        monkeypatch.setattr(radius, "sup_on_circle", forbidden)
+        monkeypatch.setattr(radius, "_golden_max", forbidden)
+        ctx = make_ctx(4, 3, seed=65)
+        t = verify.random_member(ctx, seed=66, unit_norm=True)
+        w = omega_a_fast(ctx, t)
+        assert generalized_radius(ctx, A_NORM, t) == w
+        assert generalized_radius(ctx, A_NORM, t, with_error_bound=True)[0] == w
+        assert generalized_radius_im_form(ctx, A_NORM, t) > 0
+        assert omega_a(ctx, t) == w
+        assert gamma_a(ctx, t) > 0
 
 
 class TestInvariances:

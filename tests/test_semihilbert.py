@@ -199,13 +199,13 @@ class TestValidateOnce:
                              ids=lambda f: f.__name__)
     def test_one_membership_check_per_call(self, fn, monkeypatch):
         calls = []
-        original = shnr.semihilbert.membership_residual
+        original = shnr.semihilbert._member_verdict
 
         def counting(ctx, t):
             calls.append(np.shape(t))
             return original(ctx, t)
 
-        monkeypatch.setattr(shnr.semihilbert, "membership_residual", counting)
+        monkeypatch.setattr(shnr.semihilbert, "_member_verdict", counting)
         ctx = make_ctx(3, 2, seed=40)
         fn(ctx, verify.random_member(ctx, seed=41))
         assert len(calls) == 1
@@ -223,6 +223,25 @@ class TestStacks:
         np.testing.assert_allclose(membership_residual(ctx, stack),
                                    [membership_residual(ctx, m) for m in stack],
                                    rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("ctx", ctx_grid(5), ids=lambda c: f"n{c.dim}r{c.rank}")
+    def test_residuals_and_verdicts_are_bit_identical(self, ctx):
+        # the residual formula and tolerance as they were before I - P moved
+        # onto the context and T was coerced once per check
+        rng = np.random.default_rng(43)
+        n = ctx.dim
+        members = [verify.random_member(ctx, rng=rng) for _ in range(4)]
+        others = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                  for _ in range(4)]
+        stack = np.stack(members + others)
+        want = spectral_norm((np.eye(n) - ctx.proj) @ stack.conj().swapaxes(-1, -2) @ ctx.a)
+        np.testing.assert_array_equal(membership_residual(ctx, stack), want)
+        res, bad = shnr.semihilbert._member_verdict(ctx, stack)
+        np.testing.assert_array_equal(res, want)
+        np.testing.assert_array_equal(bad, want > ctx.tol(spectral_norm(stack)))
+        for m, r in zip(stack, want):
+            assert membership_residual(ctx, m) == r
+            assert is_member(ctx, m) == bool(r <= ctx.tol(spectral_norm(m)))
 
     def test_stack_dimension_checked(self, identity_ctx2):
         with pytest.raises(DimensionMismatchError):
