@@ -26,6 +26,7 @@ Hermitian PSD.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -89,7 +90,8 @@ def _env_rtol() -> float:
 def _load(path, what):
     try:
         return serialize.load_matrix(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bad JSON or UTF-8; RecursionError: JSON nested too deeply
+    except (OSError, ValueError, RecursionError) as exc:
         raise DimensionMismatchError(f"cannot read {what} from {path}: {exc}") from exc
 
 
@@ -136,12 +138,10 @@ def cmd_compute(args) -> int:
 def cmd_membership(args) -> int:
     rtol = _env_rtol()
     ctx = semihilbert.build_context(_load(args.a_path, "A"), rtol)
-    t = _load(args.t_path, "T")
-    residual = semihilbert.membership_residual(ctx, t)
-    member = semihilbert.is_member(ctx, t)
-    verdict = "member" if member else "non-member"
-    print(f"{verdict} residual={_fmt(residual)}")
-    return EXIT_OK if member else EXIT_NOT_MEMBER
+    t = semihilbert._check_shape(ctx, _load(args.t_path, "T"))
+    residual, outside = semihilbert._member_verdict(ctx, t)
+    print(f"{'non-member' if outside else 'member'} residual={_fmt(residual)}")
+    return EXIT_NOT_MEMBER if outside else EXIT_OK
 
 
 def _parse_int_list(raw: str, what: str):
@@ -236,9 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call: rebuilding it cost
+    more than a small ``compute`` request's numerics."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NotMemberError as exc:

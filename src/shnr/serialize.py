@@ -11,6 +11,7 @@ slack bit for bit.
 from __future__ import annotations
 
 import json
+from typing import NoReturn
 
 import numpy as np
 
@@ -27,24 +28,47 @@ def matrix_to_dict(m) -> dict:
 
 
 def matrix_from_dict(d) -> np.ndarray:
+    """Decode a matrix object; any malformed field or entry raises
+    ``DimensionMismatchError``.
+
+    Entries convert as ``float()`` would, in one numpy call, and the
+    ``(n, 2)`` float pairs are reinterpreted as complex128, so every bit
+    (a signed zero too) survives the trip.
+    """
     try:
         rows, cols, data = int(d["rows"]), int(d["cols"]), d["data"]
+        size = len(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"malformed matrix object: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise DimensionMismatchError("matrix dimensions must be positive")
-    if len(data) != rows * cols:
+    if size != rows * cols:
         raise DimensionMismatchError(
-            f"data length {len(data)} does not match {rows}x{cols}"
+            f"data length {size} does not match {rows}x{cols}"
         )
-    out = np.empty(rows * cols, dtype=np.complex128)
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pairs = None
+    if pairs is None or pairs.shape != (size, 2) or not np.isfinite(pairs).all():
+        _reject_entries(data)
+    return pairs.view(np.complex128).reshape(rows, cols)
+
+
+def _reject_entries(data) -> NoReturn:
+    """Name the first entry that is not a pair of finite numbers."""
     for i, pair in enumerate(data):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise DimensionMismatchError(f"entry {i} is not an [re, im] pair")
-        out[i] = complex(float(pair[0]), float(pair[1]))
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
-        raise DimensionMismatchError("matrix entries must be finite")
-    return out.reshape(rows, cols)
+        try:
+            real, imag = float(pair[0]), float(pair[1])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimensionMismatchError(
+                f"entry {i} is not a pair of numbers: {exc}"
+            ) from exc
+        if not (np.isfinite(real) and np.isfinite(imag)):
+            raise DimensionMismatchError("matrix entries must be finite")
+    raise DimensionMismatchError("data is not a list of [re, im] pairs")
 
 
 def load_matrix(path) -> np.ndarray:

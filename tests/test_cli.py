@@ -1,10 +1,14 @@
+import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from shnr import serialize
+from shnr import DimensionMismatchError, cli, semihilbert, serialize
 from shnr.cli import main
 
 REMARK_T = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 2]], dtype=complex)
@@ -86,6 +90,13 @@ class TestCompute:
         bad.write_text("{not json")
         assert main(["compute", str(bad), files["nil2"], "norm_a"]) == 2
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000])
+    def test_unreadable_file_exits_2(self, raw, files, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert main(["compute", str(bad), files["nil2"], "norm_a"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read A from ")
+
     def test_shape_error_exits_2(self, files):
         assert main(["compute", files["i3"], files["nil2"], "norm_a"]) == 2
 
@@ -125,6 +136,157 @@ class TestMembership:
         monkeypatch.setenv("SHNR_RTOL", "banana")
         assert main(["membership", files["i2"], files["nil2"]]) == 2
 
+    def test_one_residual_per_call(self, files, monkeypatch, capsys):
+        cases = []
+        for a, t, rc in (("i2", "nil2", 0), ("diag10", "nil2", 3)):
+            ctx = semihilbert.build_context(serialize.load_matrix(files[a]))
+            t_mat = serialize.load_matrix(files[t])
+            verdict = "member" if semihilbert.is_member(ctx, t_mat) else "non-member"
+            res = cli._fmt(semihilbert.membership_residual(ctx, t_mat))
+            cases.append((a, t, rc, f"{verdict} residual={res}\n"))
+        calls = []
+        residual = semihilbert._residual
+
+        def counted(ctx, t):
+            calls.append(1)
+            return residual(ctx, t)
+
+        monkeypatch.setattr(semihilbert, "_residual", counted)
+        for a, t, rc, expected in cases:
+            calls.clear()
+            assert main(["membership", files[a], files[t]]) == rc
+            assert len(calls) == 1
+            assert capsys.readouterr().out == expected
+
+
+def _write_raw(path, data_text):
+    path.write_text('{"rows": 1, "cols": 1, "data": [' + data_text + "]}")
+    return str(path)
+
+
+class TestMatrixEntries:
+    """Matrix-file entries must be JSON numbers; anything else exits 2."""
+
+    BAD = {
+        "null": "[null, 0]",
+        "string": '["x", 0]',
+        "huge_int": "[1" + "0" * 400 + ", 0]",
+        "complex": '["(1+2j)", 0]',
+        "triple": "[1, 0, 0]",
+        "object": '{"re": 1}',
+        "nested": "[[1, 0]]",
+        "nan": "[NaN, 0]",
+        "infinite_string": '["1e400", 0]',
+    }
+
+    @pytest.mark.parametrize("entry", sorted(BAD))
+    def test_malformed_entry_exits_2(self, entry, tmp_path, capsys):
+        bad = _write_raw(tmp_path / "bad.json", self.BAD[entry])
+        one = str(tmp_path / "one.json")
+        serialize.save_matrix(one, np.eye(1))
+        for argv in (
+            ["compute", one, bad, "norm_a"],
+            ["compute", bad, one, "omega_a"],
+            ["membership", one, bad],
+            ["membership", bad, one],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_python_complex_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            serialize.matrix_from_dict({"rows": 1, "cols": 1, "data": [[1j, 0]]})
+
+    def test_error_names_the_entry(self):
+        d = {"rows": 1, "cols": 3, "data": [[1, 0], [None, 0], [2, 0]]}
+        with pytest.raises(DimensionMismatchError, match="entry 1 "):
+            serialize.matrix_from_dict(d)
+        d["data"][1] = [1, 0, 0]
+        with pytest.raises(DimensionMismatchError, match="entry 1 is not an"):
+            serialize.matrix_from_dict(d)
+
+    def test_accepted_entries_keep_their_values(self, tmp_path, capsys):
+        # numeric strings, booleans and integers past 2**53 decode as float()
+        data = [["1.5", True], [False, " -2 "], [2**53 + 1, "1_000"], [-0.0, 0]]
+        d = {"rows": 2, "cols": 2, "data": data}
+        got = serialize.matrix_from_dict(json.loads(json.dumps(d)))
+        want = np.array(
+            [complex(float(re), float(im)) for re, im in data]
+        ).reshape(2, 2)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(d))
+        i2 = str(tmp_path / "i2.json")
+        serialize.save_matrix(i2, np.eye(2))
+        assert main(["compute", i2, str(path), "norm_a"]) == 0
+        norm = float(capsys.readouterr().out)
+        assert norm == pytest.approx(np.linalg.norm(want, 2), rel=1e-10)
+
+
+def _subparsers(parser):
+    action = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return action.choices
+
+
+class TestParser:
+    def test_three_calls_build_one_parser(self, files, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert main(["membership", files["i2"], files["nil2"]]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import shnr.cli as c; print(c._parser.cache_info().currsize)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("command", [None, "compute", "membership", "check"])
+    def test_help_matches_a_fresh_parser(self, command, capsys):
+        fresh = cli.build_parser()
+        if command is not None:
+            fresh = _subparsers(fresh)[command]
+        main(["membership", "x", "y"])  # a call before, on the same parser
+        capsys.readouterr()
+        argv = ["--help"] if command is None else [command, "--help"]
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == fresh.format_help()
+
+    def test_bad_choice_between_good_calls(self, files, capsys):
+        good = ["compute", files["i3"], files["remark"], "omega_a"]
+        assert main(good) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", files["i3"], files["remark"], "nonsense"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(good) == 0
+        assert capsys.readouterr().out.strip() == "2.00000000000"
+
 
 class TestCheck:
     def test_only_c26_report(self, files, capsys):
@@ -154,6 +316,17 @@ class TestCheck:
         assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
         assert main(args + ["--out", str(out2), "--threads", "3"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_witness_replays_bit_for_bit(self, files, capsys):
+        out = files["tmp"] / "r.json"
+        argv = ["check", "--only", "C04,C17,C21", "--dims", "2,3", "--instances", "9",
+                "--seed", "42", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        for chk in report["checks"]:
+            recorded = np.float64(chk["worst_witness"]["slack"])
+            replayed = np.float64(cli.verify.replay_witness(report, chk["id"]))
+            assert replayed.view(np.uint64) == recorded.view(np.uint64), chk["id"]
 
     def test_bad_flags_exit_2(self, files):
         assert main(["check", "--dims", "x", "--out", "nowhere.json"]) == 2

@@ -234,6 +234,35 @@ class TestMatrixRoundTrip:
         serialize.save_matrix(path, m)
         np.testing.assert_array_equal(serialize.load_matrix(path), m)
 
+    # signed zeros, subnormals, the float range's edge, shortest-repr floats
+    EDGES = [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308, -1e308,
+             0.1, 1 / 3, -2 / 3, 1.7976931348623157e308]
+
+    def _edge_matrix(self):
+        re, im = np.meshgrid(self.EDGES, self.EDGES)
+        m = np.empty(re.shape, dtype=np.complex128)
+        m.real, m.imag = re, im   # re + 1j * im would lose a -0.0 real part
+        return m
+
+    def test_dict_round_trip_bit_exact(self):
+        m = self._edge_matrix()
+        got = serialize.matrix_from_dict(serialize.matrix_to_dict(m))
+        assert got.shape == m.shape
+        assert (got.view(np.uint64) == m.view(np.uint64)).all()
+
+    def test_file_round_trip_bit_exact(self, tmp_path):
+        m = self._edge_matrix()
+        path = tmp_path / "edges.json"
+        serialize.save_matrix(path, m)
+        got = serialize.load_matrix(path)
+        assert (got.view(np.uint64) == m.view(np.uint64)).all()
+
+    def test_decode_matches_float_of_each_part(self):
+        d = serialize.matrix_to_dict(self._edge_matrix())
+        want = np.array([complex(float(re), float(im)) for re, im in d["data"]])
+        got = serialize.matrix_from_dict(json.loads(json.dumps(d))).ravel()
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
     def test_malformed_rejected(self):
         with pytest.raises(shnr.DimensionMismatchError):
             serialize.matrix_from_dict({"rows": 2, "cols": 2, "data": [[1, 0]]})
