@@ -178,7 +178,12 @@ def pseudo_inverse(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
 
 
 def _psd_spectrum(a, rtol: float, what: str):
-    """Eigendecomposition of a Hermitian PSD matrix with clamped spectrum."""
+    """Eigendecomposition of a Hermitian PSD matrix with clamped spectrum.
+
+    Returns ``(w, v, lam_max, keep)``: ascending eigenvalues clamped at zero,
+    their eigenvectors, the largest eigenvalue, and the rank mask
+    ``w > rtol * lam_max`` that every rank decision of this library uses.
+    """
     a = require_square(as_matrix(a), what)
     dev = hermitian_deviation(a)
     scale = float(np.max(np.abs(a))) if a.size else 0.0
@@ -194,19 +199,18 @@ def _psd_spectrum(a, rtol: float, what: str):
             f"{what}: eigenvalue {w[0]:.3e} below PSD tolerance (lam_max={lam_max:.3e})"
         )
     w = np.maximum(w, 0.0)
-    return w, v, lam_max
+    return w, v, lam_max, w > rtol * lam_max
 
 
 def psd_sqrt(a, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """Hermitian PSD square root.
 
-    Eigenvalues within ``rtol * lam_max`` of zero are clamped to zero
-    before taking roots; this is deliberate policy so that rank decisions
-    match :func:`range_projector` exactly.
+    Eigenvalues at or below ``rtol * lam_max`` are dropped before taking
+    roots, so that rank decisions match :func:`range_projector` exactly.
     """
-    w, v, _ = _psd_spectrum(a, rtol, "psd_sqrt")
-    root = herm((v * np.sqrt(w)) @ v.conj().T)
-    return root
+    w, v, _, keep = _psd_spectrum(a, rtol, "psd_sqrt")
+    vk = v[:, keep]
+    return herm((vk * np.sqrt(w[keep])) @ vk.conj().T)
 
 
 def range_projector(a, rtol: float = DEFAULT_RTOL) -> np.ndarray:
@@ -215,16 +219,15 @@ def range_projector(a, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     The cutoff is ``rtol * lam_max``; the projector rank equals the
     numerical rank of ``a``.
     """
-    w, v, lam_max = _psd_spectrum(a, rtol, "range_projector")
-    keep = w > rtol * lam_max
+    _, v, _, keep = _psd_spectrum(a, rtol, "range_projector")
     vk = v[:, keep]
     return herm(vk @ vk.conj().T)
 
 
 def numerical_rank(a, rtol: float = DEFAULT_RTOL) -> int:
     """Number of eigenvalues of a Hermitian PSD matrix above cutoff."""
-    w, _, lam_max = _psd_spectrum(a, rtol, "numerical_rank")
-    return int(np.count_nonzero(w > rtol * lam_max))
+    _, _, _, keep = _psd_spectrum(a, rtol, "numerical_rank")
+    return int(np.count_nonzero(keep))
 
 
 def stack_slices(count: int, item_bytes: int) -> list:

@@ -82,10 +82,9 @@ def build_context(a, rtol: float = DEFAULT_RTOL) -> SemiHilbertContext:
     when A is not a non-zero Hermitian PSD matrix within tolerance.
     """
     a = require_square(as_matrix(a, "A"), "A")
-    w, v, lam_max = linalg._psd_spectrum(a, rtol, "A")
+    w, v, lam_max, keep = linalg._psd_spectrum(a, rtol, "A")
     if lam_max <= 0.0:
         raise ZeroOperatorError("A must be a non-zero positive operator")
-    keep = w > rtol * lam_max
     wk = w[keep]
     vk = v[:, keep]
     half = herm((vk * np.sqrt(wk)) @ vk.conj().T)

@@ -11,11 +11,15 @@ slack bit for bit.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import NoReturn
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError
+
+#: Python types of a JSON number; ``bool`` (an ``int`` subclass) is not one.
+_NUMBER_TYPES = {float, int}
 
 
 def matrix_to_dict(m) -> dict:
@@ -31,9 +35,10 @@ def matrix_from_dict(d) -> np.ndarray:
     """Decode a matrix object; any malformed field or entry raises
     ``DimensionMismatchError``.
 
-    Entries convert as ``float()`` would, in one numpy call, and the
-    ``(n, 2)`` float pairs are reinterpreted as complex128, so every bit
-    (a signed zero too) survives the trip.
+    Entries must be JSON numbers (strings and booleans are refused).  They
+    convert as ``float()`` would, in one numpy call, and the ``(n, 2)``
+    float pairs are reinterpreted as complex128, so every bit (a signed
+    zero too) survives the trip.
     """
     try:
         rows, cols, data = int(d["rows"]), int(d["cols"]), d["data"]
@@ -50,7 +55,12 @@ def matrix_from_dict(d) -> np.ndarray:
         pairs = np.array(data, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         pairs = None
-    if pairs is None or pairs.shape != (size, 2) or not np.isfinite(pairs).all():
+    if (
+        pairs is None
+        or pairs.shape != (size, 2)
+        or not np.isfinite(pairs).all()
+        or not set(map(type, chain.from_iterable(data))) <= _NUMBER_TYPES
+    ):
         _reject_entries(data)
     return pairs.view(np.complex128).reshape(rows, cols)
 
@@ -60,9 +70,11 @@ def _reject_entries(data) -> NoReturn:
     for i, pair in enumerate(data):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise DimensionMismatchError(f"entry {i} is not an [re, im] pair")
+        if not {type(pair[0]), type(pair[1])} <= _NUMBER_TYPES:
+            raise DimensionMismatchError(f"entry {i} is not a pair of JSON numbers")
         try:
             real, imag = float(pair[0]), float(pair[1])
-        except (TypeError, ValueError, OverflowError) as exc:
+        except OverflowError as exc:
             raise DimensionMismatchError(
                 f"entry {i} is not a pair of numbers: {exc}"
             ) from exc

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +31,7 @@ from . import __version__, radius, semihilbert, seminorms, serialize
 from .exceptions import RankOutOfRangeError, ShnrError
 from .linalg import DEFAULT_RTOL, herm, spectral_norm
 from .radius import ThetaOptConfig
-from .semihilbert import a_adjoint, a_operator_norm, build_context, im_a, re_a
+from .semihilbert import a_adjoint, a_operator_norm, build_context, re_a
 
 _SLACK_FLOOR = 1e-300
 _SQRT2 = math.sqrt(2.0)
@@ -163,8 +163,8 @@ def _range_nilpotent(ctx, rng) -> np.ndarray:
     return _unit_norm(semihilbert.uncompress(ctx, m))
 
 
-def _unit_vector(n, rng):
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def _unit_vector(ctx, rng):
+    v = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
     return v / np.linalg.norm(v)
 
 
@@ -187,7 +187,6 @@ class CheckSpec:
     id: str
     statement: str
     kind: str                        # inequality | equality | conditional
-    arity: str
     required_flags: frozenset
     seminorm_ids: tuple
     generator: str
@@ -210,19 +209,7 @@ class CheckResult:
     worst_witness: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "kind": self.kind,
-            "seminorms": list(self.seminorms),
-            "instances_run": self.instances_run,
-            "incomplete": self.incomplete,
-            "violations": self.violations,
-            "premise_held": self.premise_held,
-            "max_violation": self.max_violation,
-            "min_slack": self.min_slack,
-            "worst_witness": self.worst_witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -255,14 +242,7 @@ class SuiteReport:
     incomplete_total: int
 
     def to_dict(self) -> dict:
-        return {
-            "tool": "shnr",
-            "version": self.version,
-            "config": self.config,
-            "checks": [c.to_dict() for c in self.checks],
-            "violations_total": self.violations_total,
-            "incomplete_total": self.incomplete_total,
-        }
+        return {"tool": "shnr", **asdict(self)}
 
 
 def _ineq_slack(lhs: float, rhs: float) -> float:
@@ -285,16 +265,26 @@ def _slack(kind: str, lhs: float, rhs: float) -> float:
 # ---------------------------------------------------------------------------
 # evaluators: one per check, shared helpers first
 
+#: Angle grid of every radius in a suite run (echoed in the report).
+_THETA_GRID = 180
+_THETA_CFG = ThetaOptConfig(grid_points=_THETA_GRID)
+#: The grids a report was made with; replay refuses any other.
+_GRIDS = {
+    "theta_grid": _THETA_GRID,
+    "omega_t_grid": seminorms.OMEGA_T_GRID,
+    "omega_psi_grid": seminorms.OMEGA_PSI_GRID,
+}
 _CFG64 = ThetaOptConfig(grid_points=64, refine_tol=1e-7, max_refine_iters=120)
-_A_NORM = seminorms.a_norm_seminorm()
 
 
-def _w(ctx, n_desc, t, cfg):
-    return radius.generalized_radius(ctx, n_desc, t, cfg)
+def _w(ctx, n_desc, t):
+    return radius.generalized_radius(ctx, n_desc, t, _THETA_CFG)
 
 
-def _re_im(ctx, t):
-    return re_a(ctx, t), im_a(ctx, t)
+def _adjoint_parts(ctx, t):
+    """T#, Re_A(T) and Im_A(T) from one membership check and one adjoint."""
+    c = a_adjoint(ctx, t)
+    return c, (t + c) / 2.0, (t - c) / 2.0j
 
 
 def _angle_profile(ctx, n_desc, r0, i0, thetas):
@@ -306,20 +296,20 @@ def _angle_profile(ctx, n_desc, r0, i0, thetas):
     )
 
 
-def _eval_c01(ctx, mats, n_desc, cfg):
+def _eval_c01(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
-    r0, i0 = _re_im(ctx, t)
+    w = _w(ctx, n_desc, t)
+    _, r0, i0 = _adjoint_parts(ctx, t)
     lhs = n_desc.evaluate(ctx, t) / 2 + abs(
         n_desc.evaluate(ctx, r0) - n_desc.evaluate(ctx, i0)
     ) / 2
     return InstanceOutcome([(lhs, w)])
 
 
-def _eval_c02(ctx, mats, n_desc, cfg):
+def _eval_c02(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
-    r0, i0 = _re_im(ctx, t)
+    w = _w(ctx, n_desc, t)
+    _, r0, i0 = _adjoint_parts(ctx, t)
 
     def gap(thetas):
         re_vals, im_vals = _angle_profile(ctx, n_desc, r0, i0, thetas)
@@ -330,9 +320,9 @@ def _eval_c02(ctx, mats, n_desc, cfg):
     return InstanceOutcome([(lhs, w)])
 
 
-def _eval_c03(ctx, mats, n_desc, cfg):
+def _eval_c03(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
+    w = _w(ctx, n_desc, t)
     nt = n_desc.evaluate(ctx, t)
     pairs = [(nt / 2, w)]
     if n_desc.selfadjoint_invariant:
@@ -340,30 +330,29 @@ def _eval_c03(ctx, mats, n_desc, cfg):
     return InstanceOutcome(pairs)
 
 
-def _eval_c04(ctx, mats, n_desc, cfg):
+def _eval_c04(ctx, mats, n_desc):
     t = mats["T"]
-    w_t = _w(ctx, n_desc, t, cfg)
-    pairs = [(w_t, _w(ctx, n_desc, a_adjoint(ctx, t), cfg))]
+    w_t = _w(ctx, n_desc, t)
+    pairs = [(w_t, _w(ctx, n_desc, a_adjoint(ctx, t)))]
     if n_desc.base_id == "a_norm" and "U" in mats:
         u = mats["U"]
         conj = a_adjoint(ctx, u) @ t @ u
-        pairs.append((_w(ctx, n_desc, conj, cfg), w_t))
+        pairs.append((_w(ctx, n_desc, conj), w_t))
     return InstanceOutcome(pairs)
 
 
-def _eval_c05(ctx, mats, n_desc, cfg):
+def _eval_c05(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
-    c = a_adjoint(ctx, t)
+    w = _w(ctx, n_desc, t)
+    c, r0, i0 = _adjoint_parts(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
-    r0, i0 = _re_im(ctx, t)
     gap = abs(n_desc.evaluate(ctx, r0) ** 2 - n_desc.evaluate(ctx, i0) ** 2)
     return InstanceOutcome([(math.sqrt(q / 4 + gap / 2), w)])
 
 
-def _eval_c06(ctx, mats, n_desc, cfg):
+def _eval_c06(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
+    w = _w(ctx, n_desc, t)
     c = a_adjoint(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
     pairs = [(math.sqrt(q) / 2, w)]
@@ -372,10 +361,10 @@ def _eval_c06(ctx, mats, n_desc, cfg):
     return InstanceOutcome(pairs)
 
 
-def _eval_c07(ctx, mats, n_desc, cfg):
+def _eval_c07(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
-    r0, i0 = _re_im(ctx, t)
+    w = _w(ctx, n_desc, t)
+    _, r0, i0 = _adjoint_parts(ctx, t)
     rhs_plain = math.hypot(n_desc.evaluate(ctx, r0), n_desc.evaluate(ctx, i0))
 
     def euclid(thetas):
@@ -385,114 +374,112 @@ def _eval_c07(ctx, mats, n_desc, cfg):
     return InstanceOutcome([(w, rhs_plain), (w, -neg_inf)])
 
 
-def _eval_c08(ctx, mats, n_desc, cfg):
+def _eval_c08(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
+    w = _w(ctx, n_desc, t)
     c = a_adjoint(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
-    w2 = _w(ctx, n_desc, t @ t, cfg)
+    w2 = _w(ctx, n_desc, t @ t)
     return InstanceOutcome([(w, math.sqrt(0.5 * w2 + 0.25 * q))])
 
 
-def _eval_c09(ctx, mats, n_desc, cfg):
+def _eval_c09(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
+    w = _w(ctx, n_desc, t)
     c = a_adjoint(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
-    w2 = _w(ctx, n_desc, t @ t, cfg)
+    w2 = _w(ctx, n_desc, t @ t)
     return InstanceOutcome([(w, (q * q / 8 + w2 * w2 / 2) ** 0.25)])
 
 
-def _eval_c10(ctx, mats, n_desc, cfg):
+def _eval_c10(ctx, mats, n_desc):
     t = mats["T"]
-    return InstanceOutcome([(_w(ctx, n_desc, t, cfg), n_desc.evaluate(ctx, t))])
+    return InstanceOutcome([(_w(ctx, n_desc, t), n_desc.evaluate(ctx, t))])
 
 
-def _eval_c11(ctx, mats, n_desc, cfg):
+def _eval_c11(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
+    w = _w(ctx, n_desc, t)
     return InstanceOutcome(
         [
-            (w, _w(ctx, n_desc, ctx.proj @ t, cfg)),
-            (w, _w(ctx, n_desc, t @ ctx.proj, cfg)),
+            (w, _w(ctx, n_desc, ctx.proj @ t)),
+            (w, _w(ctx, n_desc, t @ ctx.proj)),
         ]
     )
 
 
-def _eval_c12(ctx, mats, n_desc, cfg):
+def _eval_c12(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
-    w_ts = _w(ctx, n_desc, t @ s, cfg)
+    w_ts = _w(ctx, n_desc, t @ s)
     ts_adj = a_adjoint(ctx, t)
     ss_adj = a_adjoint(ctx, s)
     n_t = n_desc.evaluate(ctx, t)
     n_s = n_desc.evaluate(ctx, s)
-    w_t = _w(ctx, n_desc, t, cfg)
-    w_s = _w(ctx, n_desc, s, cfg)
+    w_t = _w(ctx, n_desc, t)
+    w_s = _w(ctx, n_desc, s)
     pairs = []
     for sgn in (1.0, -1.0):
         pairs.append(
-            (w_ts, n_t * w_s + 0.5 * _w(ctx, n_desc, t @ s + sgn * (s @ ts_adj), cfg))
+            (w_ts, n_t * w_s + 0.5 * _w(ctx, n_desc, t @ s + sgn * (s @ ts_adj)))
         )
         pairs.append(
-            (w_ts, n_s * w_t + 0.5 * _w(ctx, n_desc, t @ s + sgn * (ss_adj @ t), cfg))
+            (w_ts, n_s * w_t + 0.5 * _w(ctx, n_desc, t @ s + sgn * (ss_adj @ t)))
         )
     return InstanceOutcome(pairs)
 
 
-def _eval_c13(ctx, mats, n_desc, cfg):
+def _eval_c13(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
     ts_adj = a_adjoint(ctx, t)
-    bound = 2 * n_desc.evaluate(ctx, t) * _w(ctx, n_desc, s, cfg)
+    bound = 2 * n_desc.evaluate(ctx, t) * _w(ctx, n_desc, s)
     pairs = [
-        (_w(ctx, n_desc, t @ s + sgn * (s @ ts_adj), cfg), bound)
+        (_w(ctx, n_desc, t @ s + sgn * (s @ ts_adj)), bound)
         for sgn in (1.0, -1.0)
     ]
     return InstanceOutcome(pairs)
 
 
-def _eval_c14(ctx, mats, n_desc, cfg):
+def _eval_c14(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
-    w_t = _w(ctx, n_desc, t, cfg)
-    w_s = _w(ctx, n_desc, s, cfg)
+    w_t = _w(ctx, n_desc, t)
+    w_s = _w(ctx, n_desc, s)
     mid = 2 * min(w_t * n_desc.evaluate(ctx, s), w_s * n_desc.evaluate(ctx, t))
-    return InstanceOutcome(
-        [(_w(ctx, n_desc, t @ s, cfg), mid), (mid, 4 * w_t * w_s)]
-    )
+    return InstanceOutcome([(_w(ctx, n_desc, t @ s), mid), (mid, 4 * w_t * w_s)])
 
 
-def _eval_c15(ctx, mats, n_desc, cfg):
+def _eval_c15(ctx, mats, n_desc):
     t, s, x = mats["T"], mats["S"], mats["X"]
     ts_adj = a_adjoint(ctx, t)
     ss_adj = a_adjoint(ctx, s)
-    bound = 2 * n_desc.evaluate(ctx, t) * n_desc.evaluate(ctx, s) * _w(ctx, n_desc, x, cfg)
+    bound = 2 * n_desc.evaluate(ctx, t) * n_desc.evaluate(ctx, s) * _w(ctx, n_desc, x)
     pairs = [
-        (_w(ctx, n_desc, t @ x @ s + sgn * (ss_adj @ x @ ts_adj), cfg), bound)
+        (_w(ctx, n_desc, t @ x @ s + sgn * (ss_adj @ x @ ts_adj)), bound)
         for sgn in (1.0, -1.0)
     ]
     return InstanceOutcome(pairs)
 
 
-def _eval_c16(ctx, mats, n_desc, cfg):
+def _eval_c16(ctx, mats, n_desc):
     t = mats["T"]
     x = mats["X"]
     ts_adj = a_adjoint(ctx, t)
-    bound = n_desc.evaluate(ctx, t) ** 2 * _w(ctx, n_desc, x, cfg)
+    bound = n_desc.evaluate(ctx, t) ** 2 * _w(ctx, n_desc, x)
     return InstanceOutcome(
         [
-            (_w(ctx, n_desc, t @ x @ ts_adj, cfg), bound),
-            (_w(ctx, n_desc, ts_adj @ x @ t, cfg), bound),
+            (_w(ctx, n_desc, t @ x @ ts_adj), bound),
+            (_w(ctx, n_desc, ts_adj @ x @ t), bound),
         ]
     )
 
 
-def _eval_c17(ctx, mats, n_desc, cfg):
+def _eval_c17(ctx, mats, n_desc):
     t = mats["T"]
     na = a_operator_norm(ctx, t)
     wa = radius.omega_a_fast(ctx, t)
     return InstanceOutcome([(na / 2, wa), (wa, na)])
 
 
-def _eval_c18(ctx, mats, n_desc, cfg):
+def _eval_c18(ctx, mats, n_desc):
     t = mats["T"]
     c = a_adjoint(ctx, t)
     rhs = a_operator_norm(ctx, t) ** 2
@@ -501,7 +488,7 @@ def _eval_c18(ctx, mats, n_desc, cfg):
     )
 
 
-def _eval_c19(ctx, mats, n_desc, cfg):
+def _eval_c19(ctx, mats, n_desc):
     va = np.ravel(mats["a"])
     vb = np.ravel(mats["b"])
     vc = np.ravel(mats["c"])
@@ -517,19 +504,17 @@ def _eval_c19(ctx, mats, n_desc, cfg):
     return InstanceOutcome([(lhs, rhs)])
 
 
-def _eval_c20(ctx, mats, n_desc, cfg):
+def _eval_c20(ctx, mats, n_desc):
     h = re_a(ctx, mats["T"])
     return InstanceOutcome([(n_desc.evaluate(ctx, h), a_operator_norm(ctx, h))])
 
 
-def _eval_c21(ctx, mats, n_desc, cfg):
+def _eval_c21(ctx, mats, n_desc):
     t = mats["T"]
-    return InstanceOutcome(
-        [(_w(ctx, n_desc, t, cfg), radius.omega_a_fast(ctx, t))]
-    )
+    return InstanceOutcome([(_w(ctx, n_desc, t), radius.omega_a_fast(ctx, t))])
 
 
-def _eval_c22(ctx, mats, n_desc, cfg):
+def _eval_c22(ctx, mats, n_desc):
     t = mats["T"]
     na = a_operator_norm(ctx, t)
     om = n_desc.evaluate(ctx, t)
@@ -537,46 +522,39 @@ def _eval_c22(ctx, mats, n_desc, cfg):
     return InstanceOutcome([(na, om), (om, gam), (gam, _SQRT2 * na)])
 
 
-def _eval_c23(ctx, mats, n_desc, cfg):
+def _eval_c23(ctx, mats, n_desc):
     t = mats["T"]
-    return InstanceOutcome(
-        [(n_desc.evaluate(ctx, t), _SQRT2 * a_operator_norm(ctx, t))]
-    )
+    return InstanceOutcome([(n_desc.evaluate(ctx, t), _SQRT2 * a_operator_norm(ctx, t))])
 
 
-def _eval_c24(ctx, mats, n_desc, cfg):
+def _eval_c24(ctx, mats, n_desc):
     t = mats["T"]
-    return InstanceOutcome(
-        [(_w(ctx, n_desc, t, cfg), _SQRT2 * radius.omega_a_fast(ctx, t))]
-    )
+    return InstanceOutcome([(_w(ctx, n_desc, t), _SQRT2 * radius.omega_a_fast(ctx, t))])
 
 
-def _eval_c25(ctx, mats, n_desc, cfg):
+def _eval_c25(ctx, mats, n_desc):
     t = mats["T"]
-    return InstanceOutcome(
-        [(_w(ctx, n_desc, t, cfg), n_desc.evaluate(ctx, t))]
-    )
+    return InstanceOutcome([(_w(ctx, n_desc, t), n_desc.evaluate(ctx, t))])
 
 
-def _eval_c26(ctx, mats, n_desc, cfg):
+def _eval_c26(ctx, mats, n_desc):
     t = mats["T"]
     target = 2 * _SQRT2
     return InstanceOutcome(
         [
             (n_desc.evaluate(ctx, t), target),
-            (_w(ctx, n_desc, t, cfg), target),
+            (_w(ctx, n_desc, t), target),
             (seminorms.big_omega_pair_form(ctx, t), target),
         ]
     )
 
 
-def _eval_c27(ctx, mats, n_desc, cfg):
+def _eval_c27(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t, cfg)
+    w = _w(ctx, n_desc, t)
     nt = n_desc.evaluate(ctx, t)
-    c = a_adjoint(ctx, t)
+    c, r0, i0 = _adjoint_parts(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
-    r0, i0 = _re_im(ctx, t)
     tol = 1e-7 * max(1.0, nt)
     target = math.sqrt(q) / 2
     flat = abs(w - nt / 2) <= tol  # lower-bound attainment forces flat angle profile
@@ -605,42 +583,25 @@ def _make_ctx(n, profile, rng, rtol):
     return build_context(a, rtol)
 
 
-def _gen_members(*names):
-    """Generator of unit-norm random members, one per operand name, drawn in
-    the order given."""
+def _gen(**makers):
+    """Generator drawing A, then one operand per ``maker(ctx, rng)`` in the
+    order given.  Makers call the ``random_*`` functions through this
+    module's namespace, so a wrapper installed there (perfbench's tracer)
+    sees every draw."""
 
     def gen(n, profile, rng, rtol, idx):
         ctx = _make_ctx(n, profile, rng, rtol)
-        return ctx, {k: random_member(ctx, rng=rng, unit_norm=True) for k in names}
+        return ctx, {k: make(ctx, rng) for k, make in makers.items()}
 
     return gen
 
 
-def _gen_vectors(n, profile, rng, rtol, idx):
-    ctx = _make_ctx(n, profile, rng, rtol)
-    return ctx, {
-        "a": _unit_vector(n, rng),
-        "b": _unit_vector(n, rng),
-        "c": _unit_vector(n, rng),
-    }
+def _member(ctx, rng):
+    return random_member(ctx, rng=rng, unit_norm=True)
 
 
-def _gen_a_selfadjoint(n, profile, rng, rtol, idx):
-    ctx = _make_ctx(n, profile, rng, rtol)
-    return ctx, {"T": random_a_selfadjoint(ctx, rng=rng, unit_norm=True)}
-
-
-def _gen_a_normal(n, profile, rng, rtol, idx):
-    ctx = _make_ctx(n, profile, rng, rtol)
-    return ctx, {"T": random_a_normal(ctx, rng=rng, unit_norm=True)}
-
-
-def _gen_member_with_unitary(n, profile, rng, rtol, idx):
-    ctx = _make_ctx(n, profile, rng, rtol)
-    return ctx, {
-        "T": random_member(ctx, rng=rng, unit_norm=True),
-        "U": random_a_unitary(ctx, rng=rng),
-    }
+def _a_normal(ctx, rng):
+    return random_a_normal(ctx, rng=rng, unit_norm=True)
 
 
 def _gen_sharp_mix(n, profile, rng, rtol, idx):
@@ -650,8 +611,8 @@ def _gen_sharp_mix(n, profile, rng, rtol, idx):
     if style == 1 and ctx.rank >= 2:
         return ctx, {"T": _range_nilpotent(ctx, rng)}
     if style == 2:
-        return ctx, {"T": random_a_normal(ctx, rng=rng, unit_norm=True)}
-    return ctx, {"T": random_member(ctx, rng=rng, unit_norm=True)}
+        return ctx, {"T": _a_normal(ctx, rng)}
+    return ctx, {"T": _member(ctx, rng)}
 
 
 def _gen_nilpotent_mix(n, profile, rng, rtol, idx):
@@ -660,7 +621,7 @@ def _gen_nilpotent_mix(n, profile, rng, rtol, idx):
         ctx = build_context(np.eye(n), rtol)
         return ctx, {"T": random_nilpotent(n, rng)}
     ctx = _make_ctx(n, profile, rng, rtol)
-    return ctx, {"T": random_member(ctx, rng=rng, unit_norm=True)}
+    return ctx, {"T": _member(ctx, rng)}
 
 
 _REMARK_T = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 2]], dtype=np.complex128)
@@ -672,14 +633,16 @@ def _gen_pinned_remark(n, profile, rng, rtol, idx):
 
 
 _GENERATORS = {
-    "member": _gen_members("T"),
-    "member_pair": _gen_members("T", "S"),
-    "member_triple": _gen_members("T", "S", "X"),
-    "member_tx": _gen_members("T", "X"),
-    "vectors": _gen_vectors,
-    "a_selfadjoint": _gen_a_selfadjoint,
-    "a_normal": _gen_a_normal,
-    "member_with_unitary": _gen_member_with_unitary,
+    "member": _gen(T=_member),
+    "member_pair": _gen(T=_member, S=_member),
+    "member_triple": _gen(T=_member, S=_member, X=_member),
+    "member_tx": _gen(T=_member, X=_member),
+    "vectors": _gen(a=_unit_vector, b=_unit_vector, c=_unit_vector),
+    "a_selfadjoint": _gen(
+        T=lambda ctx, rng: random_a_selfadjoint(ctx, rng=rng, unit_norm=True)
+    ),
+    "a_normal": _gen(T=_a_normal),
+    "member_with_unitary": _gen(T=_member, U=lambda ctx, rng: random_a_unitary(ctx, rng=rng)),
     "sharp_mix": _gen_sharp_mix,
     "nilpotent_mix": _gen_nilpotent_mix,
     "pinned_remark": _gen_pinned_remark,
@@ -702,140 +665,140 @@ def catalog() -> list:
         CheckSpec(
             "C01",
             "w_N(T) >= N(T)/2 + |N(Re_A(T)) - N(Im_A(T))|/2",
-            "inequality", "T", no_flags, ("a_norm",), "member", _eval_c01,
+            "inequality", no_flags, ("a_norm",), "member", _eval_c01,
         ),
         CheckSpec(
             "C02",
             "w_N(T) >= N(T)/2 + sup_th |N(Re_A(e^{i th}T)) - N(Im_A(e^{i th}T))|/2",
-            "inequality", "T", no_flags, ("a_norm",), "member", _eval_c02,
+            "inequality", no_flags, ("a_norm",), "member", _eval_c02,
         ),
         CheckSpec(
             "C03",
             "N(T)/2 <= w_N(T) <= N(T), upper half for selfadjoint-invariant N",
-            "inequality", "T", sa, ("a_norm", "big_omega"), "member", _eval_c03,
+            "inequality", sa, ("a_norm", "big_omega"), "member", _eval_c03,
         ),
         CheckSpec(
             "C04",
             "w_N(T) = w_N(T#); and w_N(U# T U) = w_N(T) for A-unitary U under the A-norm",
-            "equality", "T", sa, ("a_norm", "big_omega"), "member_with_unitary",
+            "equality", sa, ("a_norm", "big_omega"), "member_with_unitary",
             _eval_c04,
         ),
         CheckSpec(
             "C05",
             "w_N(T) >= sqrt(N(T#T + TT#)/4 + |N^2(Re_A T) - N^2(Im_A T)|/2)",
-            "inequality", "T", sub, ("a_norm",), "member", _eval_c05,
+            "inequality", sub, ("a_norm",), "member", _eval_c05,
         ),
         CheckSpec(
             "C06",
             "sqrt(N(T#T + TT#))/2 <= w_N(T) <= sqrt(N(T#T + TT#)/2)",
-            "inequality", "T", sub | inc_pow, ("a_norm",), "member", _eval_c06,
+            "inequality", sub | inc_pow, ("a_norm",), "member", _eval_c06,
         ),
         CheckSpec(
             "C07",
             "w_N(T) <= inf_th sqrt(N^2(Re_A(e^{i th}T)) + N^2(Im_A(e^{i th}T)))",
-            "inequality", "T", no_flags, ("a_norm",), "member", _eval_c07,
+            "inequality", no_flags, ("a_norm",), "member", _eval_c07,
         ),
         CheckSpec(
             "C08",
             "w_N(T) <= sqrt(w_N(T^2)/2 + N(T#T + TT#)/4)",
-            "inequality", "T", frozenset({"power_property"}), ("a_norm",),
+            "inequality", frozenset({"power_property"}), ("a_norm",),
             "member", _eval_c08,
         ),
         CheckSpec(
             "C09",
             "w_N(T) <= (N^2(T#T + TT#)/8 + w_N^2(T^2)/2)^(1/4)",
-            "inequality", "T", inc_pow, ("a_norm",), "member", _eval_c09,
+            "inequality", inc_pow, ("a_norm",), "member", _eval_c09,
         ),
         CheckSpec(
             "C10",
             "w_N(T) = N(T) for A-selfadjoint T",
-            "equality", "T", sa, ("a_norm", "big_omega"), "a_selfadjoint", _eval_c10,
+            "equality", sa, ("a_norm", "big_omega"), "a_selfadjoint", _eval_c10,
         ),
         CheckSpec(
             "C11",
             "w_N(T) = w_N(P T) = w_N(T P) for the range projector P",
-            "equality", "T", sa, ("a_norm",), "member", _eval_c11,
+            "equality", sa, ("a_norm",), "member", _eval_c11,
         ),
         CheckSpec(
             "C12",
             "w_N(TS) <= N(T) w_N(S) + w_N(TS +- S T#)/2 and the mirrored form",
-            "inequality", "T,S", sa_sub, ("a_norm",), "member_pair", _eval_c12,
+            "inequality", sa_sub, ("a_norm",), "member_pair", _eval_c12,
         ),
         CheckSpec(
             "C13",
             "w_N(TS +- S T#) <= 2 N(T) w_N(S)",
-            "inequality", "T,S", sa_sub, ("a_norm",), "member_pair", _eval_c13,
+            "inequality", sa_sub, ("a_norm",), "member_pair", _eval_c13,
         ),
         CheckSpec(
             "C14",
             "w_N(TS) <= 2 min(w_N(T) N(S), w_N(S) N(T)) <= 4 w_N(T) w_N(S)",
-            "inequality", "T,S", sa_sub, ("a_norm",), "member_pair", _eval_c14,
+            "inequality", sa_sub, ("a_norm",), "member_pair", _eval_c14,
         ),
         CheckSpec(
             "C15",
             "w_N(T X S +- S# X T#) <= 2 N(T) N(S) w_N(X)",
-            "inequality", "T,S,X", sa_sub, ("a_norm",), "member_triple", _eval_c15,
+            "inequality", sa_sub, ("a_norm",), "member_triple", _eval_c15,
         ),
         CheckSpec(
             "C16",
             "w_N(T X T#) <= N^2(T) w_N(X) and w_N(T# X T) <= N^2(T) w_N(X)",
-            "inequality", "T,X", sa_sub, ("a_norm",), "member_tx", _eval_c16,
+            "inequality", sa_sub, ("a_norm",), "member_tx", _eval_c16,
         ),
         CheckSpec(
             "C17",
             "|T|_A / 2 <= w_A(T) <= |T|_A with sharpness constructions mixed in",
-            "inequality", "T", no_flags, ("a_norm",), "sharp_mix", _eval_c17,
+            "inequality", no_flags, ("a_norm",), "sharp_mix", _eval_c17,
         ),
         CheckSpec(
             "C18",
             "|T# T|_A = |T T#|_A = |T|_A^2",
-            "equality", "T", no_flags, ("a_norm",), "member", _eval_c18,
+            "equality", no_flags, ("a_norm",), "member", _eval_c18,
         ),
         CheckSpec(
             "C19",
             "|<a,c>_A|^2 + |<b,c>_A|^2 <= |c|_A^2 (max(|a|_A^2, |b|_A^2) + |<a,b>_A|)",
-            "inequality", "a,b,c", no_flags, ("a_norm",), "vectors", _eval_c19,
+            "inequality", no_flags, ("a_norm",), "vectors", _eval_c19,
         ),
         CheckSpec(
             "C20",
             "|Re_A(T)|_{A,alpha} = |Re_A(T)|_A",
-            "equality", "T", no_flags, ("a_alpha",), "member", _eval_c20,
+            "equality", no_flags, ("a_alpha",), "member", _eval_c20,
         ),
         CheckSpec(
             "C21",
             "w under |.|_{A,alpha} equals w_A",
-            "equality", "T", no_flags, ("a_alpha",), "member", _eval_c21,
+            "equality", no_flags, ("a_alpha",), "member", _eval_c21,
         ),
         CheckSpec(
             "C22",
             "|T|_A <= Omega_A(T) <= gamma_A(T) <= sqrt(2) |T|_A",
-            "inequality", "T", no_flags, ("big_omega",), "member", _eval_c22,
+            "inequality", no_flags, ("big_omega",), "member", _eval_c22,
         ),
         CheckSpec(
             "C23",
             "Omega_A(T) = sqrt(2) |T|_A for A-selfadjoint T",
-            "equality", "T", sa, ("big_omega",), "a_selfadjoint", _eval_c23,
+            "equality", sa, ("big_omega",), "a_selfadjoint", _eval_c23,
         ),
         CheckSpec(
             "C24",
             "w under Omega_A equals sqrt(2) w_A",
-            "equality", "T", sa, ("big_omega",), "member", _eval_c24,
+            "equality", sa, ("big_omega",), "member", _eval_c24,
         ),
         CheckSpec(
             "C25",
             "w under Omega_A equals Omega_A for A-normal T",
-            "equality", "T", sa, ("big_omega",), "a_normal", _eval_c25,
+            "equality", sa, ("big_omega",), "a_normal", _eval_c25,
         ),
         CheckSpec(
             "C26",
             "pinned 3x3 instance: Omega = w_Omega = 2 sqrt(2), via grid and pair forms",
-            "equality", "T", sa, ("big_omega",), "pinned_remark", _eval_c26,
+            "equality", sa, ("big_omega",), "pinned_remark", _eval_c26,
             max_instances=1,
         ),
         CheckSpec(
             "C27",
             "attainment equivalences: when w_N hits a lower bound, the angle profile is flat",
-            "conditional", "T", no_flags, ("a_norm", "big_omega"), "nilpotent_mix",
+            "conditional", no_flags, ("a_norm", "big_omega"), "nilpotent_mix",
             _eval_c27,
         ),
     ]
@@ -876,18 +839,14 @@ def _witness_dict(n_desc, dim, profile, idx, slack, lhs, rhs, a_mat, mats):
     }
 
 
-#: Angle grid of every radius in a suite run (echoed in the report).
-_THETA_GRID = 180
-
-
-def _run_one_instance(spec, cfg, grid, sems, theta_cfg, idx):
+def _run_one_instance(spec, cfg, grid, sems, idx):
     dim, profile = grid[idx % len(grid)]
     n_desc = sems[(idx // len(grid)) % len(sems)]
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, int(spec.id[1:]), idx])
     )
     ctx, mats = _GENERATORS[spec.generator](dim, profile, rng, cfg.rtol, idx)
-    outcome = spec.evaluator(ctx, mats, n_desc, theta_cfg)
+    outcome = spec.evaluator(ctx, mats, n_desc)
     return dim, profile, n_desc, ctx, mats, outcome
 
 
@@ -911,7 +870,6 @@ def run_suite(
             raise KeyError(f"unknown check ids: {sorted(unknown)}")
         specs = [s for s in specs if s.id in wanted]
     grid = [(n, p) for n in cfg.dims for p in cfg.rank_profiles]
-    theta_cfg = ThetaOptConfig(grid_points=_THETA_GRID)
 
     results = []
     for spec in specs:
@@ -929,7 +887,7 @@ def run_suite(
 
         def work(idx, _spec=spec, _sems=sems):
             try:
-                return idx, _run_one_instance(_spec, cfg, grid, _sems, theta_cfg, idx), None
+                return idx, _run_one_instance(_spec, cfg, grid, _sems, idx), None
             except (ShnrError, np.linalg.LinAlgError) as exc:
                 return idx, None, f"{type(exc).__name__}: {exc}"
 
@@ -939,14 +897,13 @@ def run_suite(
         else:
             raw = [work(i) for i in range(total)]
 
-        worst = None
         for idx, payload, err in raw:
             if err is not None:
                 res.incomplete += 1
                 continue
             dim, profile, n_desc, ctx, mats, outcome = payload
             res.instances_run += 1
-            if outcome.premise_held is not None and outcome.premise_held:
+            if outcome.premise_held:
                 res.premise_held += 1
             if not outcome.pairs:
                 continue
@@ -956,14 +913,13 @@ def run_suite(
             if res.min_slack is None or s_min < res.min_slack:
                 res.min_slack = s_min
                 lhs, rhs = outcome.pairs[k]
-                worst = _witness_dict(
+                res.worst_witness = _witness_dict(
                     n_desc, dim, profile, idx, s_min, float(lhs), float(rhs),
                     ctx.a, mats,
                 )
             if s_min < -cfg.tol_rel:
                 res.violations += 1
                 res.max_violation = max(res.max_violation, -s_min)
-        res.worst_witness = worst
         results.append(res)
 
     config_echo = {
@@ -973,9 +929,7 @@ def run_suite(
         "instances_per_check": cfg.instances_per_check,
         "tol_rel": cfg.tol_rel,
         "rtol": cfg.rtol,
-        "theta_grid": _THETA_GRID,
-        "omega_t_grid": seminorms.OMEGA_T_GRID,
-        "omega_psi_grid": seminorms.OMEGA_PSI_GRID,
+        **_GRIDS,
         "alphas": list(alphas),
         "only": sorted(only) if only else None,
     }
@@ -993,7 +947,8 @@ def replay_witness(report: dict, check_id: str) -> float:
 
     Rebuilds the context and seminorm from the serialized matrices and the
     report's config echo, reruns the check evaluator, and returns the
-    minimum slack, which must reproduce the recorded one.
+    minimum slack, which must reproduce the recorded one.  Raises
+    ``ValueError`` for a report made with other angle or Omega_A grids.
     """
     spec = {s.id: s for s in catalog()}[check_id]
     entry = next(c for c in report["checks"] if c["id"] == check_id)
@@ -1001,14 +956,13 @@ def replay_witness(report: dict, check_id: str) -> float:
     if wit is None:
         raise ValueError(f"check {check_id} recorded no witness")
     conf = report["config"]
-    mats_in = wit["matrices"]
-    ctx = build_context(serialize.matrix_from_dict(mats_in["A"]), conf["rtol"])
-    mats = {
-        k: serialize.matrix_from_dict(v) for k, v in mats_in.items() if k != "A"
-    }
-    if spec.generator == "vectors":
-        mats = {k: np.ravel(v) for k, v in mats.items()}
+    other = {k: conf.get(k) for k, v in _GRIDS.items() if conf.get(k) != v}
+    if other:
+        raise ValueError(
+            f"report was made with grids {other}; this version uses {_GRIDS}"
+        )
+    mats = {k: serialize.matrix_from_dict(v) for k, v in wit["matrices"].items()}
+    ctx = build_context(mats.pop("A"), conf["rtol"])
     n_desc = seminorms.seminorm_by_name(wit["seminorm"], wit["alpha"])
-    theta_cfg = ThetaOptConfig(grid_points=conf["theta_grid"])
-    outcome = spec.evaluator(ctx, mats, n_desc, theta_cfg)
+    outcome = spec.evaluator(ctx, mats, n_desc)
     return min(_slack(spec.kind, float(l), float(r)) for l, r in outcome.pairs)

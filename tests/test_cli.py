@@ -207,15 +207,22 @@ class TestMatrixEntries:
             serialize.matrix_from_dict(d)
 
     def test_accepted_entries_keep_their_values(self, tmp_path, capsys):
-        # numeric strings, booleans and integers past 2**53 decode as float()
-        data = [["1.5", True], [False, " -2 "], [2**53 + 1, "1_000"], [-0.0, 0]]
+        # numeric strings and booleans exit 2; integers past 2**53 and
+        # signed zeros decode as float() reads them
+        one = str(tmp_path / "one.json")
+        serialize.save_matrix(one, np.eye(1))
+        for entry in ('["1.5", 0]', "[true, 0]", '[0, " -2 "]', "[1, false]"):
+            bad = _write_raw(tmp_path / "bad.json", entry)
+            assert main(["compute", one, bad, "norm_a"]) == 2, entry
+            assert capsys.readouterr().err == "error: entry 0 is not a pair of JSON numbers\n"
+        data = [[1.5, 1], [0, -2], [2**53 + 1, -(2**60) - 1], [-0.0, 0]]
         d = {"rows": 2, "cols": 2, "data": data}
         got = serialize.matrix_from_dict(json.loads(json.dumps(d)))
         want = np.array(
             [complex(float(re), float(im)) for re, im in data]
         ).reshape(2, 2)
         assert (got.view(np.uint64) == want.view(np.uint64)).all()
-        path = tmp_path / "strings.json"
+        path = tmp_path / "numbers.json"
         path.write_text(json.dumps(d))
         i2 = str(tmp_path / "i2.json")
         serialize.save_matrix(i2, np.eye(2))

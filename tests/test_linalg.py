@@ -8,6 +8,7 @@ from shnr import (
     NonSquareError,
     NotHermitianError,
     NotPositiveError,
+    build_context,
     hermitian_eig,
     psd_sqrt,
     pseudo_inverse,
@@ -203,6 +204,15 @@ class TestPsdSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveError):
             psd_sqrt(np.diag([-1.0, 1.0]))
+
+    @pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+    def test_drops_eigenvalues_below_the_rank_cutoff(self, c):
+        # one rank decision: psd_sqrt keeps exactly the eigenvalues that
+        # build_context keeps, at every scale of A
+        q, _ = np.linalg.qr(random_complex((3, 3), seed=21))
+        a = (q * [1.0, 0.5, 1e-12]) @ q.conj().T
+        half = build_context(a).half
+        np.testing.assert_allclose(psd_sqrt(c * a) / np.sqrt(c), half, rtol=0, atol=1e-12)
 
 
 class TestRangeProjector:

@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
+import inspect
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from shnr import (
     serialize,
     verify,
 )
+from shnr.cli import build_parser
 from shnr.verify import InstanceGenConfig, _eq_slack, _ineq_slack
 from conftest import make_ctx
 
@@ -113,7 +117,7 @@ class TestAngleSweeps:
         ctx = make_ctx(n, 2, seed=50)
         t = verify.random_member(ctx, seed=51, unit_norm=True)
         spec = {s.id: s for s in catalog()}[check_id]
-        spec.evaluator(ctx, {"T": t}, desc, shnr.ThetaOptConfig(grid_points=180))
+        spec.evaluator(ctx, {"T": t}, desc)
         sweep = verify._CFG64
         grid = [s for s in shapes if s == (sweep.grid_points, n, n)]
         golden = [s for s in shapes if s == (1, n, n)]
@@ -197,6 +201,22 @@ class TestRunSuite:
             replayed += 1
         assert replayed >= 20
 
+    def test_every_witness_replays_bit_for_bit(self, small_report):
+        report_dict = json.loads(serialize.dump_report(small_report.to_dict()))
+        for chk in report_dict["checks"]:
+            if chk["worst_witness"] is None:
+                continue
+            recorded = np.float64(chk["worst_witness"]["slack"])
+            replayed = np.float64(replay_witness(report_dict, chk["id"]))
+            assert replayed.view(np.uint64) == recorded.view(np.uint64), chk["id"]
+
+    @pytest.mark.parametrize("key", ["theta_grid", "omega_t_grid", "omega_psi_grid"])
+    def test_replay_refuses_other_grids(self, small_report, key):
+        report_dict = json.loads(serialize.dump_report(small_report.to_dict()))
+        report_dict["config"][key] += 1
+        with pytest.raises(ValueError, match=key):
+            replay_witness(report_dict, "C01")
+
     def test_only_filter(self):
         rep = run_suite(SMALL_CFG, only=["C18", "C19"])
         assert [c.id for c in rep.checks] == ["C18", "C19"]
@@ -268,3 +288,48 @@ class TestMatrixRoundTrip:
             serialize.matrix_from_dict({"rows": 2, "cols": 2, "data": [[1, 0]]})
         with pytest.raises(shnr.DimensionMismatchError):
             serialize.matrix_from_dict({"rows": 1, "cols": 1, "data": [[1]]})
+
+
+def _load_tracer():
+    """``perfbench/tracer.py``, loaded by path: the benchmark directory is
+    not a package, and its ``oracles`` module would shadow the tests' own."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkHooks:
+    """What the benchmark harness reads of the library is still there."""
+
+    def test_tracer_counts_generation_and_evaluation(self):
+        tr = _load_tracer().Tracer()
+        cfg = InstanceGenConfig(instances_per_check=2)
+        tr.install()
+        try:
+            report = run_suite(cfg, only=["C01", "C19", "C24"])
+        finally:
+            tr.uninstall()
+        assert report.incomplete_total == 0
+        calls = tr.summary()[0]
+        assert calls["verify.evaluate"] == 6
+        # per instance one random_psd, plus one random_member for C01 and
+        # C24: the generators look the random_* functions up at call time
+        assert calls["verify.generate"] == 10
+        assert verify.catalog()[0].evaluator is verify._eval_c01   # uninstalled
+
+    def test_catalog_cells_inputs(self):
+        # the (dim, rank profile, seminorm) cell count of perfbench's
+        # workloads.cells, from the same reads
+        defaults = build_parser().parse_args(["check"])
+        grid = len(defaults.dims.split(",")) * len(defaults.ranks.split(","))
+        alphas = inspect.signature(run_suite).parameters["alphas"].default
+        cells = {
+            spec.id: min(
+                grid * sum(len(alphas) if s == "a_alpha" else 1 for s in spec.seminorm_ids),
+                spec.max_instances or 10**9,
+            )
+            for spec in catalog()
+        }
+        assert (cells["C01"], cells["C03"], cells["C21"], cells["C26"]) == (9, 18, 45, 1)
