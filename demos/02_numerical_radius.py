@@ -38,8 +38,8 @@ a_norm = shnr.a_norm_seminorm()
 val, bound = shnr.generalized_radius(ctx, a_norm, T, with_error_bound=True)
 print("\nangle-sweep value =", val, "+ certified grid bound", bound)
 
-# Same supremum through the A-imaginary part; must agree.
-print("imaginary-part form =", shnr.generalized_radius_im_form(ctx, a_norm, T))
+# Same supremum through the A-imaginary part, Im_A(S) = Re_A(-iS); must agree.
+print("imaginary-part form =", shnr.generalized_radius(ctx, a_norm, -1j * T))
 
 # Invariances: rotation, adjoint, A-unitary conjugation, range projection.
 phi = float(rng.uniform(0, 2 * np.pi))

@@ -24,20 +24,12 @@ from .exceptions import (
 )
 from .linalg import (
     DEFAULT_RTOL,
-    HermitianEigen,
-    hermitian_eig,
     pseudo_inverse,
     psd_sqrt,
     range_projector,
-    singular_values,
     spectral_norm,
 )
-from .radius import (
-    ThetaOptConfig,
-    generalized_radius,
-    generalized_radius_im_form,
-    omega_a_fast,
-)
+from .radius import generalized_radius, omega_a_fast
 from .semihilbert import (
     SemiHilbertContext,
     a_adjoint,
@@ -53,7 +45,6 @@ from .semihilbert import (
     is_a_unitary,
     is_member,
     membership_residual,
-    omega_a,
     re_a,
     uncompress,
 )
@@ -64,7 +55,6 @@ from .seminorms import (
     big_omega_pair_form,
     big_omega_seminorm,
     gamma_a,
-    probe_properties,
     seminorm_by_name,
 )
 from .verify import (
@@ -73,6 +63,7 @@ from .verify import (
     InstanceGenConfig,
     SuiteReport,
     catalog,
+    probe_properties,
     random_a_normal,
     random_a_positive,
     random_a_selfadjoint,
@@ -83,13 +74,15 @@ from .verify import (
     run_suite,
 )
 
+#: The A-numerical radius, by the level-set iteration.
+omega_a = omega_a_fast
+
 __all__ = [
     "AlphaOutOfRangeError",
     "CheckResult",
     "CheckSpec",
     "DEFAULT_RTOL",
     "DimensionMismatchError",
-    "HermitianEigen",
     "InstanceGenConfig",
     "NonSquareError",
     "NotHermitianError",
@@ -100,7 +93,6 @@ __all__ = [
     "SeminormDescriptor",
     "ShnrError",
     "SuiteReport",
-    "ThetaOptConfig",
     "ZeroOperatorError",
     "a_adjoint",
     "a_alpha_seminorm",
@@ -115,8 +107,6 @@ __all__ = [
     "compress",
     "gamma_a",
     "generalized_radius",
-    "generalized_radius_im_form",
-    "hermitian_eig",
     "im_a",
     "is_a_normal",
     "is_a_positive",
@@ -140,7 +130,6 @@ __all__ = [
     "replay_witness",
     "run_suite",
     "seminorm_by_name",
-    "singular_values",
     "spectral_norm",
     "uncompress",
 ]

@@ -82,9 +82,15 @@ def _env_rtol() -> float:
         val = float(raw)
     except ValueError as exc:
         raise DimensionMismatchError(f"SHNR_RTOL={raw!r} is not a number") from exc
-    if val <= 0:
-        raise DimensionMismatchError("SHNR_RTOL must be positive")
     return val
+
+
+def _context(a, rtol):
+    """``build_context``, with an rtol it refuses reported as a usage error."""
+    try:
+        return semihilbert.build_context(a, rtol)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"SHNR_RTOL: {exc}") from exc
 
 
 def _load(path, what):
@@ -103,7 +109,7 @@ def cmd_compute(args) -> int:
     rtol = _env_rtol()
     a = _load(args.a_path, "A")
     t = _load(args.t_path, "T")
-    ctx = semihilbert.build_context(a, rtol)
+    ctx = _context(a, rtol)
     q = args.quantity
     if q == "norm_a":
         print(_fmt(semihilbert.a_operator_norm(ctx, t)))
@@ -137,7 +143,7 @@ def cmd_compute(args) -> int:
 
 def cmd_membership(args) -> int:
     rtol = _env_rtol()
-    ctx = semihilbert.build_context(_load(args.a_path, "A"), rtol)
+    ctx = _context(_load(args.a_path, "A"), rtol)
     t = semihilbert._check_shape(ctx, _load(args.t_path, "T"))
     residual, outside = semihilbert._member_verdict(ctx, t)
     print(f"{'non-member' if outside else 'member'} residual={_fmt(residual)}")

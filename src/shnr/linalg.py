@@ -1,24 +1,23 @@
 """Dense complex linear-algebra kernels.
 
 Everything downstream (semi-inner products, adjoints, seminorms, radii)
-reduces to the handful of spectral primitives in this module: Hermitian
-eigendecomposition, singular values, Moore-Penrose pseudoinverse, PSD
-square root and the orthogonal projector onto a range.  Matrices are plain
-``numpy`` arrays of ``complex128``; sizes of interest are desk scale
-(n up to a few dozen), so dense LAPACK-backed routines are the right tool.
+reduces to the handful of spectral primitives in this module: spectral
+norm, Moore-Penrose pseudoinverse, PSD square root and the orthogonal
+projector onto a range.  Matrices are plain ``numpy`` arrays of
+``complex128``; sizes of interest are desk scale (n up to a few dozen),
+so dense LAPACK-backed routines are the right tool.
 
 Conventions kept throughout:
 
 * eigenvalues ascending, singular values descending (byte-stable reports),
-* one relative tolerance ``rtol`` (default ``1e-10``) drives every rank
-  decision, measured against the largest eigenvalue / singular value,
+* one relative tolerance ``rtol`` (default ``1e-10``, finite and in
+  (0, 1)) drives every rank decision, measured against the largest
+  eigenvalue / singular value,
 * inputs are validated (finite entries, shape, symmetry) at the boundary
   and errors name the violated precondition.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,17 +37,6 @@ DEFAULT_RTOL = 1e-10
 #: stacks no bigger (see :func:`stack_slices`).  It bounds their
 #: scratch memory; larger caps raised the peak resident set measurably.
 STACK_BYTES = 1 << 16
-
-
-class HermitianEigen(NamedTuple):
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    corresponding orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_matrix(data, name: str = "matrix") -> np.ndarray:
@@ -103,37 +91,6 @@ def hermitian_deviation(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def hermitian_eig(m, tol: float = 1e-8) -> HermitianEigen:
-    """Full spectral decomposition of a matrix Hermitian up to ``tol``
-    times its largest entry modulus.
-
-    The input is symmetrized as (M + M*)/2 before factorization, so the
-    returned pair reconstructs the symmetrized matrix to machine accuracy
-    and the original one to within its Hermitian deviation.
-
-    Raises ``NonSquareError`` / ``NotHermitianError`` on bad input.
-    """
-    m = require_square(as_matrix(m))
-    dev = hermitian_deviation(m)
-    # relative to the largest entry, as in _psd_spectrum, so c*M gets the
-    # verdict of M for every scale c > 0
-    limit = tol * (float(np.max(np.abs(m))) if m.size else 0.0)
-    if dev > limit:
-        raise NotHermitianError(
-            f"Hermitian deviation {dev:.3e} exceeds tolerance {tol:.3e} x max|m| = {limit:.3e}"
-        )
-    w, v = np.linalg.eigh(herm(m))
-    return HermitianEigen(w, v)
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values, descending. sigma_max is the operator 2-norm."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return np.zeros(0)
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def spectral_norm(m):
     """Operator 2-norm (largest singular value).
 
@@ -165,10 +122,10 @@ def pseudo_inverse(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     Singular values at or below ``rtol * sigma_max`` are treated as exact
     zeros; the zero matrix maps to the zero matrix.  The result satisfies
     the four Penrose identities to roughly ``rtol`` relative accuracy.
+    Raises ``ValueError`` unless ``rtol`` is finite and in (0, 1).
     """
     m = as_matrix(m)
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
+    _check_rtol(rtol)
     if not m.any():
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
@@ -177,13 +134,21 @@ def pseudo_inverse(m, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     return (vh.conj().T * inv) @ u.conj().T
 
 
+def _check_rtol(rtol: float) -> None:
+    # the negated test also rejects nan
+    if not 0.0 < rtol < 1.0:
+        raise ValueError(f"rtol must be finite and in (0, 1), got {rtol!r}")
+
+
 def _psd_spectrum(a, rtol: float, what: str):
     """Eigendecomposition of a Hermitian PSD matrix with clamped spectrum.
 
     Returns ``(w, v, lam_max, keep)``: ascending eigenvalues clamped at zero,
     their eigenvectors, the largest eigenvalue, and the rank mask
     ``w > rtol * lam_max`` that every rank decision of this library uses.
+    Raises ``ValueError`` unless ``rtol`` is finite and in (0, 1).
     """
+    _check_rtol(rtol)
     a = require_square(as_matrix(a), what)
     dev = hermitian_deviation(a)
     scale = float(np.max(np.abs(a))) if a.size else 0.0

@@ -35,7 +35,6 @@ objective's A-real parts, which are A-selfadjoint, in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,32 +42,20 @@ from . import linalg, semihilbert
 from .linalg import herm
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Golden-section refinement stops once the bracket is this short in theta.
+#: A grid of at least 8 points brackets at most pi / 4, which takes at most
+#: 38 steps to shrink this far.
+_REFINE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class ThetaOptConfig:
-    """Knobs for the angle sweep.
-
-    ``grid_points`` uniform samples over [0, pi), then golden-section
-    refinement of the best bracket down to ``refine_tol`` in theta.
-    """
-
-    grid_points: int = 720
-    refine_tol: float = 1e-8
-    max_refine_iters: int = 200
-
-    def __post_init__(self):
-        if self.grid_points < 8:
-            raise ValueError("grid_points must be at least 8")
-        if self.refine_tol <= 0:
-            raise ValueError("refine_tol must be positive")
+def _require_grid(grid_points: int) -> None:
+    if grid_points < 8:
+        raise ValueError("grid_points must be at least 8")
 
 
-DEFAULT_THETA_CONFIG = ThetaOptConfig()
-
-
-def _golden_max(f, a: float, b: float, tol: float, max_iter: int):
-    """Golden-section maximization of f on [a, b]; returns (x, f(x))."""
+def _golden_max(f, a: float, b: float):
+    """Golden-section maximization of f on [a, b], down to a bracket of
+    ``_REFINE_TOL``; returns (x, f(x))."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
@@ -76,9 +63,7 @@ def _golden_max(f, a: float, b: float, tol: float, max_iter: int):
         best_x, best_f = c, fc
     else:
         best_x, best_f = d, fd
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
+    while b - a > _REFINE_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -94,24 +79,25 @@ def _golden_max(f, a: float, b: float, tol: float, max_iter: int):
     return best_x, best_f
 
 
-def sup_on_circle(f, period: float, cfg: ThetaOptConfig):
+def sup_on_circle(f, period: float, grid_points: int):
     """Maximize a periodic function: uniform grid, then refine best bracket.
 
     ``f`` maps a 1-D array of angles to the array of its values.  The grid
-    is one call of ``f``; each golden-section step calls it on a one-angle
-    array.  Returns (theta*, f*) with f* at least the grid maximum.
+    of ``grid_points`` angles (at least 8) is one call of ``f``; each
+    golden-section step calls it on a one-angle array.  Returns
+    (theta*, f*) with f* at least the grid maximum.
     """
-    m = cfg.grid_points
-    thetas = np.linspace(0.0, period, m, endpoint=False)
+    _require_grid(grid_points)
+    thetas = np.linspace(0.0, period, grid_points, endpoint=False)
     vals = np.asarray(f(thetas), dtype=float)
     k = int(np.argmax(vals))
-    h = period / m
+    h = period / grid_points
     lo, hi = thetas[k] - h, thetas[k] + h
 
     def f_one(x):
         return float(f(np.array([x % period]))[0])
 
-    x_ref, f_ref = _golden_max(f_one, lo, hi, cfg.refine_tol, cfg.max_refine_iters)
+    x_ref, f_ref = _golden_max(f_one, lo, hi)
     if f_ref >= vals[k]:
         return x_ref % period, float(f_ref)
     return float(thetas[k]), float(vals[k])
@@ -243,20 +229,24 @@ def _level_set_radius(m: np.ndarray) -> float:
     return r
 
 
-def generalized_radius(ctx, seminorm, t, cfg: ThetaOptConfig | None = None,
+def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
                        with_error_bound: bool = False):
     """sup over theta of N(Re_A(e^{i theta} T)) for the given seminorm.
 
     When ``seminorm`` is the plain A-operator seminorm the value is
     omega_A(T) from the level-set iteration (:func:`omega_a_fast`), on T as
-    validated here, and ``cfg`` plays no part in it.  Otherwise the
-    objective hands the angles to ``seminorm.evaluate`` as stacks of A-real
-    parts, each at most ``linalg.STACK_BYTES``.  With ``with_error_bound``
-    the certified one-sided grid bound L * h / 2 is returned alongside the
-    value, with L = N(Re_A T) + N(Im_A T) for every seminorm (for the
-    A-norm it still holds, far above the level-set margin).
+    validated here, and the grid plays no part in it.  Otherwise the
+    objective hands the ``grid_points`` angles (at least 8) to
+    ``seminorm.evaluate`` as stacks of A-real parts, each at most
+    ``linalg.STACK_BYTES``.  With ``with_error_bound`` the certified
+    one-sided grid bound L * h / 2 is returned alongside the value, with
+    L = N(Re_A T) + N(Im_A T) for every seminorm (for the A-norm it still
+    holds, far above the level-set margin).
+
+    The same supremum over the A-imaginary parts Im_A(e^{i theta} T) is
+    the radius of -i T, since Im_A(S) = Re_A(-i S).
     """
-    cfg = cfg or DEFAULT_THETA_CONFIG
+    _require_grid(grid_points)
     t = semihilbert.require_member(ctx, t)
     if not t.any():
         return (0.0, 0.0) if with_error_bound else 0.0
@@ -272,17 +262,8 @@ def generalized_radius(ctx, seminorm, t, cfg: ThetaOptConfig | None = None,
                 for sl in linalg.stack_slices(thetas.size, r0.nbytes)
             ])
 
-        _, val = sup_on_circle(f, math.pi, cfg)
+        _, val = sup_on_circle(f, math.pi, grid_points)
     if not with_error_bound:
         return val
     lip = float(np.sum(seminorm.evaluate(ctx, np.stack([r0, i0]))))
-    return val, lip * (math.pi / cfg.grid_points) / 2.0
-
-
-def generalized_radius_im_form(ctx, seminorm, t, cfg: ThetaOptConfig | None = None) -> float:
-    """Same supremum through the A-imaginary part.
-
-    Im_A(e^{i theta} T) = Re_A(e^{i theta} (-i T)), so this is
-    :func:`generalized_radius` of -i T.
-    """
-    return generalized_radius(ctx, seminorm, -1j * np.asarray(t), cfg)
+    return val, lip * (math.pi / grid_points) / 2.0

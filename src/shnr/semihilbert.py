@@ -5,7 +5,8 @@ A non-zero Hermitian PSD matrix ``A`` induces the semi-inner product
 theory: A-adjoints, A-selfadjoint/positive/normal/unitary classes, the
 A-operator seminorm and the A-numerical radius.  This module builds the
 precomputed context (square root, pseudoinverses, range projector) and
-exposes those primitives.
+exposes those primitives; the A-numerical radius is
+:func:`shnr.radius.omega_a_fast`.
 
 Every A-quantity is computed through the compression
 
@@ -239,17 +240,6 @@ def a_operator_norm(ctx: SemiHilbertContext, t) -> float:
     (where the supremum is infinite).  A (k, n, n) stack gives k values.
     """
     return linalg.spectral_norm(compress(ctx, t))
-
-
-def omega_a(ctx: SemiHilbertContext, t) -> float:
-    """A-numerical radius sup |<Tx, x>_A| over A-unit vectors.
-
-    Computed as the classical numerical radius of the compression by the
-    certified level-set iteration of :func:`shnr.radius.omega_a_fast`.
-    """
-    from . import radius  # local import: radius builds on this module
-
-    return radius.omega_a_fast(ctx, t)
 
 
 # The class predicates below compare each defect with rtol times the size it

@@ -18,7 +18,7 @@ Three concrete seminorms are provided:
 Each descriptor carries declared property flags (submultiplicative,
 A-selfadjoint invariant, A-increasing, A-power) consumed by the check
 catalog to decide which theorems apply; the flags are declarations, not
-proofs, and :func:`probe_properties` measures them empirically.
+proofs, and :func:`shnr.verify.probe_properties` measures them empirically.
 
 The two nontrivial evaluators are global optimizations over spheres.
 On an A-selfadjoint argument both collapse to its A-operator seminorm:
@@ -38,12 +38,12 @@ sampling in the tests) pin from the other side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import linalg, semihilbert
+from . import linalg, radius, semihilbert
 from .exceptions import AlphaOutOfRangeError
 from .linalg import ctranspose, herm
 from .semihilbert import SemiHilbertContext
@@ -517,13 +517,13 @@ def gamma_a(ctx, t) -> float:
     branch1 = math.sqrt(semihilbert.a_operator_norm(ctx, ts @ t + t @ ts))
     branch2 = math.sqrt(
         semihilbert.a_operator_norm(ctx, t) ** 2
-        + semihilbert.omega_a(ctx, t @ t)
+        + radius.omega_a_fast(ctx, t @ t)
     )
     return min(branch1, branch2)
 
 
 # ---------------------------------------------------------------------------
-# registry and empirical prober
+# registry
 
 
 def seminorm_by_name(name: str, alpha: Optional[float] = None) -> SeminormDescriptor:
@@ -537,80 +537,3 @@ def seminorm_by_name(name: str, alpha: Optional[float] = None) -> SeminormDescri
             raise AlphaOutOfRangeError("a_alpha needs an explicit alpha in [0, 1]")
         return a_alpha_seminorm(alpha)
     raise KeyError(f"unknown seminorm {name!r}; choose a_norm, big_omega or a_alpha")
-
-
-@dataclass
-class ProbeReport:
-    """Max observed violations of the seminorm axioms and property flags."""
-
-    seminorm_id: str
-    trials: int
-    seed: int
-    violations: dict = field(default_factory=dict)
-
-    def consistent_with(self, descriptor: SeminormDescriptor, tol: float = 1e-8) -> bool:
-        """Whether every declared-true flag stayed within ``tol``."""
-        return all(
-            self.violations.get(flag, 0.0) <= tol for flag in descriptor.flags
-        )
-
-
-def probe_properties(ctx, descriptor: SeminormDescriptor, trials: int,
-                     seed: int = 0) -> ProbeReport:
-    """Empirically measure axioms and property flags on random instances.
-
-    Monotonicity is probed on A-positive pairs and the power property on
-    A-selfadjoint operators, matching how the theorems invoke them.
-    Deterministic for a fixed seed.
-    """
-    from . import verify  # deferred: verify imports this module
-
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    ev = descriptor.evaluate
-    worst = {
-        "nonnegativity": 0.0,
-        "homogeneity": 0.0,
-        "triangle": 0.0,
-        "submultiplicative": 0.0,
-        "selfadjoint_invariant": 0.0,
-        "a_increasing": 0.0,
-        "power_property": 0.0,
-    }
-    for k in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        t = verify.random_member(ctx, rng=rng, unit_norm=True)
-        s = verify.random_member(ctx, rng=rng, unit_norm=True)
-        lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-
-        nt = ev(ctx, t)
-        ns = ev(ctx, s)
-        worst["nonnegativity"] = max(worst["nonnegativity"], -min(nt, ns, 0.0))
-        worst["homogeneity"] = max(
-            worst["homogeneity"], abs(ev(ctx, lam * t) - abs(lam) * nt)
-        )
-        worst["triangle"] = max(worst["triangle"], ev(ctx, t + s) - nt - ns)
-        worst["submultiplicative"] = max(
-            worst["submultiplicative"], ev(ctx, t @ s) - nt * ns
-        )
-        worst["selfadjoint_invariant"] = max(
-            worst["selfadjoint_invariant"],
-            abs(ev(ctx, semihilbert.a_adjoint(ctx, t)) - nt),
-        )
-
-        pos_small = verify.random_a_positive(ctx, rng=rng, unit_norm=True)
-        pos_extra = verify.random_a_positive(ctx, rng=rng, unit_norm=True)
-        worst["a_increasing"] = max(
-            worst["a_increasing"], ev(ctx, pos_small) - ev(ctx, pos_small + pos_extra)
-        )
-
-        sa = verify.random_a_selfadjoint(ctx, rng=rng, unit_norm=True)
-        n_sa = ev(ctx, sa)
-        for p in (2, 3):
-            worst["power_property"] = max(
-                worst["power_property"],
-                abs(ev(ctx, np.linalg.matrix_power(sa, p)) - n_sa**p),
-            )
-    return ProbeReport(
-        seminorm_id=descriptor.id, trials=trials, seed=seed, violations=worst
-    )

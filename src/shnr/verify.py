@@ -16,13 +16,17 @@ Slack bookkeeping: for an obligation lhs <= rhs the relative slack is
 violation when any of its slacks drops below -tol_rel.  Conditional
 equivalences record how often their premise held, so a run where it never
 fired is visibly vacuous rather than silently green.
+
+The random instance generators live here too, and so does
+:func:`probe_properties`, which draws from them to measure a seminorm
+descriptor's declared property flags.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,8 +34,8 @@ import numpy as np
 from . import __version__, radius, semihilbert, seminorms, serialize
 from .exceptions import RankOutOfRangeError, ShnrError
 from .linalg import DEFAULT_RTOL, herm, spectral_norm
-from .radius import ThetaOptConfig
 from .semihilbert import a_adjoint, a_operator_norm, build_context, re_a
+from .seminorms import SeminormDescriptor
 
 _SLACK_FLOOR = 1e-300
 _SQRT2 = math.sqrt(2.0)
@@ -169,6 +173,85 @@ def _unit_vector(ctx, rng):
 
 
 # ---------------------------------------------------------------------------
+# empirical prober of seminorm descriptors
+
+
+@dataclass
+class ProbeReport:
+    """Max observed violations of the seminorm axioms and property flags."""
+
+    seminorm_id: str
+    trials: int
+    seed: int
+    violations: dict = field(default_factory=dict)
+
+    def consistent_with(self, descriptor: SeminormDescriptor, tol: float = 1e-8) -> bool:
+        """Whether every declared-true flag stayed within ``tol``."""
+        return all(
+            self.violations.get(flag, 0.0) <= tol for flag in descriptor.flags
+        )
+
+
+def probe_properties(ctx, descriptor: SeminormDescriptor, trials: int,
+                     seed: int = 0) -> ProbeReport:
+    """Empirically measure axioms and property flags on random instances.
+
+    Monotonicity is probed on A-positive pairs and the power property on
+    A-selfadjoint operators, matching how the theorems invoke them.
+    Deterministic for a fixed seed.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    ev = descriptor.evaluate
+    worst = {
+        "nonnegativity": 0.0,
+        "homogeneity": 0.0,
+        "triangle": 0.0,
+        "submultiplicative": 0.0,
+        "selfadjoint_invariant": 0.0,
+        "a_increasing": 0.0,
+        "power_property": 0.0,
+    }
+    for k in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+        t = random_member(ctx, rng=rng, unit_norm=True)
+        s = random_member(ctx, rng=rng, unit_norm=True)
+        lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
+
+        nt = ev(ctx, t)
+        ns = ev(ctx, s)
+        worst["nonnegativity"] = max(worst["nonnegativity"], -min(nt, ns, 0.0))
+        worst["homogeneity"] = max(
+            worst["homogeneity"], abs(ev(ctx, lam * t) - abs(lam) * nt)
+        )
+        worst["triangle"] = max(worst["triangle"], ev(ctx, t + s) - nt - ns)
+        worst["submultiplicative"] = max(
+            worst["submultiplicative"], ev(ctx, t @ s) - nt * ns
+        )
+        worst["selfadjoint_invariant"] = max(
+            worst["selfadjoint_invariant"],
+            abs(ev(ctx, semihilbert.a_adjoint(ctx, t)) - nt),
+        )
+
+        pos_small = random_a_positive(ctx, rng=rng, unit_norm=True)
+        pos_extra = random_a_positive(ctx, rng=rng, unit_norm=True)
+        worst["a_increasing"] = max(
+            worst["a_increasing"], ev(ctx, pos_small) - ev(ctx, pos_small + pos_extra)
+        )
+
+        sa = random_a_selfadjoint(ctx, rng=rng, unit_norm=True)
+        n_sa = ev(ctx, sa)
+        for p in (2, 3):
+            worst["power_property"] = max(
+                worst["power_property"],
+                abs(ev(ctx, np.linalg.matrix_power(sa, p)) - n_sa**p),
+            )
+    return ProbeReport(
+        seminorm_id=descriptor.id, trials=trials, seed=seed, violations=worst
+    )
+
+
+# ---------------------------------------------------------------------------
 # check specification and outcomes
 
 
@@ -228,6 +311,9 @@ class InstanceGenConfig:
             raise ValueError("dims must all be at least 2")
         if self.instances_per_check < 1:
             raise ValueError("instances_per_check must be at least 1")
+        # the negated test also rejects nan
+        if not 0.0 <= self.tol_rel < math.inf:
+            raise ValueError(f"tol_rel must be finite and at least 0, got {self.tol_rel!r}")
         for p in self.rank_profiles:
             if p not in _PROFILE_RANKS:
                 raise ValueError(f"unknown rank profile {p!r}")
@@ -267,18 +353,18 @@ def _slack(kind: str, lhs: float, rhs: float) -> float:
 
 #: Angle grid of every radius in a suite run (echoed in the report).
 _THETA_GRID = 180
-_THETA_CFG = ThetaOptConfig(grid_points=_THETA_GRID)
 #: The grids a report was made with; replay refuses any other.
 _GRIDS = {
     "theta_grid": _THETA_GRID,
     "omega_t_grid": seminorms.OMEGA_T_GRID,
     "omega_psi_grid": seminorms.OMEGA_PSI_GRID,
 }
-_CFG64 = ThetaOptConfig(grid_points=64, refine_tol=1e-7, max_refine_iters=120)
+#: Angle grid of the C02/C07 sweeps of the Re/Im profile.
+_SWEEP_GRID = 64
 
 
 def _w(ctx, n_desc, t):
-    return radius.generalized_radius(ctx, n_desc, t, _THETA_CFG)
+    return radius.generalized_radius(ctx, n_desc, t, _THETA_GRID)
 
 
 def _adjoint_parts(ctx, t):
@@ -315,7 +401,7 @@ def _eval_c02(ctx, mats, n_desc):
         re_vals, im_vals = _angle_profile(ctx, n_desc, r0, i0, thetas)
         return np.abs(re_vals - im_vals)
 
-    _, sup_gap = radius.sup_on_circle(gap, math.pi, _CFG64)
+    _, sup_gap = radius.sup_on_circle(gap, math.pi, _SWEEP_GRID)
     lhs = n_desc.evaluate(ctx, t) / 2 + sup_gap / 2
     return InstanceOutcome([(lhs, w)])
 
@@ -370,7 +456,7 @@ def _eval_c07(ctx, mats, n_desc):
     def euclid(thetas):
         return -np.hypot(*_angle_profile(ctx, n_desc, r0, i0, thetas))
 
-    _, neg_inf = radius.sup_on_circle(euclid, math.pi, _CFG64)
+    _, neg_inf = radius.sup_on_circle(euclid, math.pi, _SWEEP_GRID)
     return InstanceOutcome([(w, rhs_plain), (w, -neg_inf)])
 
 
@@ -948,10 +1034,15 @@ def replay_witness(report: dict, check_id: str) -> float:
     Rebuilds the context and seminorm from the serialized matrices and the
     report's config echo, reruns the check evaluator, and returns the
     minimum slack, which must reproduce the recorded one.  Raises
-    ``ValueError`` for a report made with other angle or Omega_A grids.
+    ``ValueError`` for an unknown check id, a report with no entry or no
+    witness for the check, or one made with other angle or Omega_A grids.
     """
-    spec = {s.id: s for s in catalog()}[check_id]
-    entry = next(c for c in report["checks"] if c["id"] == check_id)
+    spec = next((s for s in catalog() if s.id == check_id), None)
+    if spec is None:
+        raise ValueError(f"unknown check id {check_id!r}")
+    entry = next((c for c in report["checks"] if c["id"] == check_id), None)
+    if entry is None:
+        raise ValueError(f"report has no entry for check {check_id}")
     wit = entry["worst_witness"]
     if wit is None:
         raise ValueError(f"check {check_id} recorded no witness")

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import shnr
-from shnr import verify
+from shnr import radius, verify
 
 settings.register_profile(
     "suite",
@@ -41,3 +43,11 @@ def ctx_grid(seed: int = 0):
         for rank in {n, max(1, n - 1), (n + 1) // 2}:
             out.append(make_ctx(n, rank, seed=seed + 13 * n + rank))
     return out
+
+
+def golden_step_cap(grid_points: int, period: float = math.pi) -> int:
+    """Most objective calls a golden-section refinement makes on the best
+    bracket of a ``grid_points`` grid, two grid steps wide: the two starting
+    points plus one per step until the bracket is ``radius._REFINE_TOL``."""
+    bracket = 2.0 * period / grid_points
+    return 2 + math.ceil(math.log(radius._REFINE_TOL / bracket) / math.log(radius._INVPHI))

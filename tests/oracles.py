@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from shnr import ThetaOptConfig, compress, im_a, linalg, re_a
+from shnr import compress, im_a, linalg, re_a
 from shnr.linalg import herm
 from shnr.radius import _theta_combos, sup_on_circle
 
@@ -140,11 +140,10 @@ def dense_grid_omega(tt: np.ndarray, t_grid: int = 180, psi_grid: int = 360) -> 
     return best
 
 
-def per_angle_radius(ctx, seminorm, t, cfg=None) -> float:
+def per_angle_radius(ctx, seminorm, t, grid_points: int = 720) -> float:
     """w_N(T) = sup_theta N(Re_A(e^{i theta} T)) with one ``seminorm.evaluate``
     call on a single matrix per grid angle and per golden step: the angle
     loop without stacks, for a nonzero member T."""
-    cfg = cfg or ThetaOptConfig()
     r0 = re_a(ctx, t)
     i0 = im_a(ctx, t)
 
@@ -154,11 +153,11 @@ def per_angle_radius(ctx, seminorm, t, cfg=None) -> float:
             for theta in thetas
         ])
 
-    _, val = sup_on_circle(f, math.pi, cfg)
+    _, val = sup_on_circle(f, math.pi, grid_points)
     return val
 
 
-def eigenvalue_sweep(tt: np.ndarray, cfg: ThetaOptConfig) -> float:
+def eigenvalue_sweep(tt: np.ndarray, grid_points: int) -> float:
     """The classical numerical radius of the compression ``tt``."""
     if not tt.any():
         return 0.0
@@ -171,7 +170,7 @@ def eigenvalue_sweep(tt: np.ndarray, cfg: ThetaOptConfig) -> float:
             for sl in linalg.stack_slices(thetas.size, h1.nbytes)
         ])
 
-    _, val = sup_on_circle(f, math.pi, cfg)
+    _, val = sup_on_circle(f, math.pi, grid_points)
     return val
 
 

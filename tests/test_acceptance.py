@@ -14,7 +14,6 @@ import pytest
 
 import shnr
 from shnr import (
-    ThetaOptConfig,
     a_operator_norm,
     big_omega_pair_form,
     big_omega_seminorm,
@@ -37,7 +36,7 @@ SQRT2 = math.sqrt(2.0)
 REMARK_T = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 2]], dtype=complex)
 PROFILES = ("full", "n-1", "half")
 RANK_OF = {"full": lambda n: n, "n-1": lambda n: max(1, n - 1), "half": lambda n: (n + 1) // 2}
-CFG180 = ThetaOptConfig(grid_points=180)
+GRID = 180
 
 
 def _verdict(name, ok, detail=""):
@@ -84,7 +83,7 @@ def test_criterion_2_omega_scaling_law():
     for dim in (2, 3, 4):
         for i in range(100):
             ctx, t = _instance(dim, PROFILES[i % 3], i)
-            w_om = generalized_radius(ctx, om, t, CFG180)
+            w_om = generalized_radius(ctx, om, t, GRID)
             w_a = omega_a_fast(ctx, t)
             worst = max(worst, abs(w_om - SQRT2 * w_a) / max(w_a, 1e-300))
     _verdict(
@@ -102,7 +101,7 @@ def test_criterion_3_alpha_collapse():
         w_a = omega_a_fast(ctx, t)
         for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
             w_alpha = generalized_radius(
-                ctx, shnr.a_alpha_seminorm(alpha), t, CFG180
+                ctx, shnr.a_alpha_seminorm(alpha), t, GRID
             )
             worst = max(worst, abs(w_alpha - w_a) / max(w_a, 1e-300))
     _verdict(
@@ -166,7 +165,7 @@ def test_criterion_5_sharpness_attainment():
         )
         worst_omega = max(
             worst_omega,
-            abs(generalized_radius(ctx, om, t, CFG180) - om.evaluate(ctx, t)),
+            abs(generalized_radius(ctx, om, t, GRID) - om.evaluate(ctx, t)),
         )
     ok = gap_nil <= 1e-8 and worst_norm <= 1e-8 and worst_omega <= 1e-6
     _verdict(

@@ -136,6 +136,22 @@ class TestMembership:
         monkeypatch.setenv("SHNR_RTOL", "banana")
         assert main(["membership", files["i2"], files["nil2"]]) == 2
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0", "1"])
+    def test_rtol_env_outside_open_unit_interval(self, files, monkeypatch, capsys, raw):
+        # each of these once let a non-PSD A through and called a
+        # non-member T a member
+        bad_a = str(files["tmp"] / "upper.json")
+        serialize.save_matrix(bad_a, np.array([[1.0, 5.0], [0.0, -3.0]]))
+        full = str(files["tmp"] / "full.json")
+        serialize.save_matrix(full, np.array([[1.0, 2.0], [3.0, 3.0]]))
+        monkeypatch.setenv("SHNR_RTOL", raw)
+        for argv in (["compute", bad_a, files["nil2"], "norm_a"],
+                     ["membership", files["diag10"], full]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "rtol" in captured.err
+
     def test_one_residual_per_call(self, files, monkeypatch, capsys):
         cases = []
         for a, t, rc in (("i2", "nil2", 0), ("diag10", "nil2", 3)):
@@ -339,3 +355,20 @@ class TestCheck:
         assert main(["check", "--dims", "x", "--out", "nowhere.json"]) == 2
         assert main(["check", "--dims", "1", "--out", "nowhere.json"]) == 2
         assert main(["check", "--only", "C99", "--out", "nowhere.json"]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_2(self, files, capsys, tol):
+        # with tol nan or inf no slack could ever count as a violation
+        out = files["tmp"] / "r.json"
+        argv = ["check", "--only", "C01", "--instances", "9", "--tol", tol,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: tol_rel")
+        assert not out.exists()
+
+    def test_rtol_env_outside_open_unit_interval_exit_2(self, files, monkeypatch, capsys):
+        monkeypatch.setenv("SHNR_RTOL", "nan")
+        out = files["tmp"] / "r.json"
+        assert main(["check", "--only", "C18", "--instances", "2", "--out", str(out)]) == 2
+        assert "rtol" in capsys.readouterr().err
+        assert not out.exists()

@@ -9,11 +9,9 @@ from shnr import (
     NotHermitianError,
     NotPositiveError,
     build_context,
-    hermitian_eig,
     psd_sqrt,
     pseudo_inverse,
     range_projector,
-    singular_values,
     spectral_norm,
 )
 from shnr.linalg import numerical_rank
@@ -30,53 +28,52 @@ def random_complex(shape, seed):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_hermitian(n, seed):
+def random_psd(n, seed):
     g = random_complex((n, n), seed)
-    return (g + g.conj().T) / 2
+    return g @ g.conj().T + np.eye(n)
 
 
 class TestHermitianEig:
-    def test_identity(self):
-        res = hermitian_eig(np.eye(2))
-        np.testing.assert_allclose(res.eigenvalues, [1.0, 1.0])
+    """The Hermitian eigendecomposition of A that ``build_context`` keeps,
+    and its Hermitian test, the library's only one."""
 
-    def test_swap_matrix(self):
-        res = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(res.eigenvalues, [-1.0, 1.0], atol=1e-14)
+    def test_identity(self):
+        ctx = build_context(np.eye(2))
+        np.testing.assert_allclose(ctx.eigenvalues, [1.0, 1.0])
 
     def test_matches_charpoly_roots_4x4(self):
-        m = random_hermitian(4, seed=5)
-        res = hermitian_eig(m)
+        a = random_psd(4, seed=5)
         np.testing.assert_allclose(
-            res.eigenvalues, eigenvalues_by_charpoly(m), atol=1e-9
+            build_context(a).eigenvalues, eigenvalues_by_charpoly(a), atol=1e-9
         )
 
     def test_reconstruction_and_unitarity(self):
-        m = random_hermitian(6, seed=9)
-        w, v = hermitian_eig(m, tol=1e-10)
-        np.testing.assert_allclose((v * w) @ v.conj().T, m, atol=1e-12)
+        a = random_psd(6, seed=9)
+        ctx = build_context(a)
+        w, v = ctx.eigenvalues, ctx.eigenvectors
+        np.testing.assert_allclose((v * w) @ v.conj().T, a, atol=1e-12)
         np.testing.assert_allclose(v.conj().T @ v, np.eye(6), atol=1e-12)
         assert np.all(np.diff(w) >= 0)
 
     def test_rejects_non_square(self):
         with pytest.raises(NonSquareError):
-            hermitian_eig(np.ones((2, 3)))
+            build_context(np.ones((2, 3)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=1e-10)
+            build_context(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_skew_far_above_its_scale(self):
-        # the skew is 1000x the matrix's other entries but below 1e-8
+        # the skew is 1000x the matrix's other entries but tiny in absolute terms
         with pytest.raises(NotHermitianError):
-            hermitian_eig(np.array([[1e-12, 1e-9j], [0.0, 0.0]]))
+            build_context(np.array([[1e-12, 1e-9j], [0.0, 0.0]]))
 
     @given(
         which=st.integers(0, 3),
         exponent=st.floats(-150.0, 150.0, allow_nan=False),
     )
     def test_verdict_is_scale_free(self, which, exponent):
-        m = random_hermitian(4, seed=21)
+        m = random_psd(4, seed=21)
         skew = random_complex((4, 4), seed=22)
         m = [
             m,
@@ -88,7 +85,7 @@ class TestHermitianEig:
 
         def accepts(x):
             try:
-                hermitian_eig(x)
+                build_context(x)
             except NotHermitianError:
                 return False
             return True
@@ -96,26 +93,24 @@ class TestHermitianEig:
         assert accepts(c * m) == accepts(m)
 
     def test_unitary_conjugation_invariance(self):
-        m = random_hermitian(4, seed=3)
+        a = random_psd(4, seed=3)
         g = random_complex((4, 4), seed=4)
         q, _ = np.linalg.qr(g)
-        w1 = hermitian_eig(m).eigenvalues
-        w2 = hermitian_eig(q @ m @ q.conj().T).eigenvalues
+        w1 = build_context(a).eigenvalues
+        w2 = build_context(q @ a @ q.conj().T).eigenvalues
         np.testing.assert_allclose(w1, w2, atol=1e-10)
 
 
 class TestSingularValues:
+    """The largest singular value, :func:`spectral_norm`."""
+
     def test_diagonal(self):
-        np.testing.assert_allclose(singular_values(np.diag([3.0, -4.0])), [4.0, 3.0])
+        assert spectral_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0, abs=1e-15)
 
     def test_nilpotent(self):
-        np.testing.assert_allclose(
-            singular_values(np.array([[0.0, 1.0], [0.0, 0.0]])), [1.0, 0.0]
+        assert spectral_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(
+            1.0, abs=1e-15
         )
-
-    def test_descending(self):
-        s = singular_values(random_complex((5, 3), seed=2))
-        assert np.all(np.diff(s) <= 0)
 
     def test_against_power_iteration(self):
         m = random_complex((3, 3), seed=8)
@@ -184,6 +179,28 @@ class TestPseudoInverse:
         scale = max(spectral_norm(m), 1.0)
         assert spectral_norm(m @ p @ m - m) <= 1e-8 * scale
         assert spectral_norm(p @ m @ p - p) <= 1e-8 * max(spectral_norm(p), 1.0)
+
+
+BAD_RTOLS = [float("nan"), float("inf"), 0.0, 1.0]
+
+
+class TestRtolContract:
+    """Every rank decision takes a finite rtol in (0, 1)."""
+
+    @pytest.mark.parametrize("rtol", BAD_RTOLS)
+    @pytest.mark.parametrize(
+        "fn", [build_context, psd_sqrt, range_projector, numerical_rank, pseudo_inverse]
+    )
+    def test_rejects_rtol_outside_open_unit_interval(self, fn, rtol):
+        # pseudo_inverse with rtol nan used to return the zero matrix
+        with pytest.raises(ValueError, match="rtol"):
+            fn(np.diag([1.0, 0.4]), rtol=rtol)
+
+    def test_loose_rtol_still_accepted(self):
+        a = np.diag([1.0, 0.4])
+        assert build_context(a, rtol=0.45).rank == 1
+        assert numerical_rank(a, rtol=0.45) == 1
+        np.testing.assert_allclose(pseudo_inverse(a, rtol=0.45), np.diag([1.0, 0.0]))
 
 
 class TestPsdSqrt:

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from shnr import (
     InstanceGenConfig,
     SeminormDescriptor,
-    ThetaOptConfig,
     a_adjoint,
     a_norm_seminorm,
     a_alpha_seminorm,
@@ -16,7 +16,6 @@ from shnr import (
     compress,
     gamma_a,
     generalized_radius,
-    generalized_radius_im_form,
     omega_a,
     omega_a_fast,
     spectral_norm,
@@ -25,7 +24,7 @@ from shnr import (
 from shnr import radius
 from shnr.linalg import herm
 from shnr.radius import sup_on_circle
-from conftest import ctx_grid, make_ctx
+from conftest import ctx_grid, golden_step_cap, make_ctx
 from oracles import dense_grid_radius, eigenvalue_sweep
 
 A_NORM = a_norm_seminorm()
@@ -40,15 +39,21 @@ A_NORM_GENERIC = SeminormDescriptor(
 
 class TestConfig:
     def test_defaults(self):
-        cfg = ThetaOptConfig()
-        assert cfg.grid_points == 720
-        assert cfg.refine_tol == 1e-8
+        params = inspect.signature(generalized_radius).parameters
+        assert params["grid_points"].default == 720
+        assert radius._REFINE_TOL == 1e-8
+        # the widest bracket a valid grid leaves, pi / 4, takes 38 steps
+        assert golden_step_cap(8) == 38 + 2
 
     def test_validation(self):
+        ctx = make_ctx(3, 2, seed=0)
+        t = verify.random_member(ctx, seed=1, unit_norm=True)
         with pytest.raises(ValueError):
-            ThetaOptConfig(grid_points=4)
+            sup_on_circle(np.cos, math.pi, 4)
         with pytest.raises(ValueError):
-            ThetaOptConfig(refine_tol=0.0)
+            generalized_radius(ctx, A_NORM, t, grid_points=4)
+        with pytest.raises(ValueError):
+            generalized_radius(ctx, A_NORM_GENERIC, t, grid_points=7)
 
 
 class TestEngines:
@@ -56,7 +61,7 @@ class TestEngines:
         ctx = make_ctx(3, 2, seed=0)
         z = np.zeros((3, 3))
         assert generalized_radius(ctx, A_NORM, z) == 0.0
-        assert generalized_radius_im_form(ctx, A_NORM, z) == 0.0
+        assert generalized_radius(ctx, A_NORM, -1j * z) == 0.0
         assert omega_a_fast(ctx, z) == 0.0
 
     def test_fast_path_matches_generic_path(self):
@@ -82,7 +87,7 @@ class TestEngines:
         val, bound = generalized_radius(ctx, A_NORM, t, with_error_bound=True)
         assert bound >= 0
         # the certified bound must cover a much denser sweep
-        dense = eigenvalue_sweep(compress(ctx, t), ThetaOptConfig(grid_points=4096))
+        dense = eigenvalue_sweep(compress(ctx, t), 4096)
         assert dense <= val + bound + 1e-12
         _, bound_gen = generalized_radius(
             ctx, A_NORM_GENERIC, t, with_error_bound=True
@@ -102,27 +107,26 @@ class TestEngines:
         assert fast == pytest.approx(lip * (math.pi / 720) / 2.0, rel=1e-12, abs=0.0)
 
     def test_sup_on_circle_takes_the_grid_in_one_call(self):
-        cfg = ThetaOptConfig(grid_points=64)
         calls = []
 
         def f(thetas):
             calls.append(np.array(thetas))
             return np.cos(2.0 * (thetas - 1.0))
 
-        theta, val = sup_on_circle(f, math.pi, cfg)
+        theta, val = sup_on_circle(f, math.pi, 64)
         np.testing.assert_array_equal(
             calls[0], np.linspace(0.0, math.pi, 64, endpoint=False)
         )
         # the rest are golden-section steps, one angle each
         assert all(c.shape == (1,) for c in calls[1:])
-        assert 2 <= len(calls) - 1 <= cfg.max_refine_iters + 2
+        assert 2 <= len(calls) - 1 <= golden_step_cap(64)
         assert theta == pytest.approx(1.0, abs=1e-6)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_coarse_grid_still_brackets(self):
         ctx = make_ctx(3, 2, seed=4)
         t = verify.random_member(ctx, seed=5, unit_norm=True)
-        coarse = generalized_radius(ctx, A_NORM_GENERIC, t, ThetaOptConfig(grid_points=32))
+        coarse = generalized_radius(ctx, A_NORM_GENERIC, t, 32)
         fine = generalized_radius(ctx, A_NORM_GENERIC, t)
         assert coarse == pytest.approx(fine, rel=1e-7)
 
@@ -183,7 +187,7 @@ class TestLevelSet:
     def _check(ctx, t, exact=None):
         got = omega_a_fast(ctx, t)
         tt = compress(ctx, t)
-        ref = eigenvalue_sweep(tt, ThetaOptConfig())
+        ref = eigenvalue_sweep(tt, 720)
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
         assert got >= dense_grid_radius(tt) * (1.0 - 1e-14)
         if exact is not None:
@@ -258,7 +262,7 @@ class TestLevelSet:
         w = omega_a_fast(ctx, t)
         assert generalized_radius(ctx, A_NORM, t) == w
         assert generalized_radius(ctx, A_NORM, t, with_error_bound=True)[0] == w
-        assert generalized_radius_im_form(ctx, A_NORM, t) > 0
+        assert generalized_radius(ctx, A_NORM, -1j * t) > 0
         assert omega_a(ctx, t) == w
         assert gamma_a(ctx, t) > 0
 
@@ -305,7 +309,7 @@ class TestInvariances:
     def test_re_and_im_forms_agree(self, ctx):
         t = verify.random_member(ctx, seed=10, unit_norm=True)
         assert generalized_radius(ctx, A_NORM, t) == pytest.approx(
-            generalized_radius_im_form(ctx, A_NORM, t), abs=1e-6
+            generalized_radius(ctx, A_NORM, -1j * t), abs=1e-6
         )
 
     def test_im_form_on_selfadjoint_with_identity(self):
@@ -314,7 +318,7 @@ class TestInvariances:
         t = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [0.0, 1.0, 0.5]])
         n = a_operator_norm(ctx, t)
         assert generalized_radius(ctx, A_NORM, t) == pytest.approx(n, abs=1e-9)
-        assert generalized_radius_im_form(ctx, A_NORM, t) == pytest.approx(n, abs=1e-9)
+        assert generalized_radius(ctx, A_NORM, -1j * t) == pytest.approx(n, abs=1e-9)
 
 
 class TestRadiusIsSeminorm:

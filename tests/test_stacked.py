@@ -16,7 +16,6 @@ import pytest
 
 from shnr import (
     NotMemberError,
-    ThetaOptConfig,
     a_alpha_seminorm,
     a_norm_seminorm,
     big_omega_seminorm,
@@ -28,7 +27,7 @@ from shnr import (
 )
 from shnr import linalg
 from shnr.semihilbert import require_member
-from conftest import make_ctx
+from conftest import golden_step_cap, make_ctx
 
 from oracles import per_angle_radius
 
@@ -109,7 +108,7 @@ class TestStackedEvaluate:
 
 RADIUS_CASES = [(2, 2), (2, 1), (3, 3), (3, 2), (4, 4), (4, 3),
                 (4, 2), (5, 5), (5, 4), (5, 3), (6, 6), (6, 3)]
-CFG = ThetaOptConfig(grid_points=180)
+GRID = 180
 
 
 class TestBatchedAngleLoop:
@@ -119,8 +118,8 @@ class TestBatchedAngleLoop:
         t = verify.random_member(ctx, seed=950 + 10 * n + rank, unit_norm=True)
         alpha = (0.0, 0.5, 1.0)[(n + rank) % 3]
         for desc in (big_omega_seminorm(), a_alpha_seminorm(alpha)):
-            assert generalized_radius(ctx, desc, t, CFG) == pytest.approx(
-                per_angle_radius(ctx, desc, t, CFG), rel=1e-12
+            assert generalized_radius(ctx, desc, t, GRID) == pytest.approx(
+                per_angle_radius(ctx, desc, t, GRID), rel=1e-12
             )
 
     @pytest.mark.parametrize("n,rank", RADIUS_CASES[::3])
@@ -130,8 +129,8 @@ class TestBatchedAngleLoop:
         t = verify.random_member(ctx, seed=960 + 10 * n + rank, unit_norm=True)
         _small_stacks(monkeypatch, 7, n)
         for desc in (big_omega_seminorm(), a_alpha_seminorm(0.5)):
-            assert generalized_radius(ctx, desc, t, CFG) == pytest.approx(
-                per_angle_radius(ctx, desc, t, CFG), rel=1e-12
+            assert generalized_radius(ctx, desc, t, GRID) == pytest.approx(
+                per_angle_radius(ctx, desc, t, GRID), rel=1e-12
             )
 
     @pytest.mark.parametrize("matrices", [None, 16])
@@ -149,16 +148,16 @@ class TestBatchedAngleLoop:
         desc = dataclasses.replace(base, evaluate=counting)
         ctx = make_ctx(n, 2, seed=740)
         t = verify.random_member(ctx, seed=741, unit_norm=True)
-        generalized_radius(ctx, desc, t, CFG)
+        generalized_radius(ctx, desc, t, GRID)
         # golden-section steps are one-angle stacks: two to start, one per
         # iteration; every other call is a grid stack
         stacks = [s[0] for s in shapes if s != (1, n, n)]
         golden = [s for s in shapes if s == (1, n, n)]
         per_stack = linalg.STACK_BYTES // (n * n * 16)
-        assert len(stacks) == math.ceil(CFG.grid_points / per_stack)
-        assert sum(stacks) == CFG.grid_points
-        assert len(golden) <= CFG.max_refine_iters + 2
-        assert len(shapes) < CFG.grid_points
+        assert len(stacks) == math.ceil(GRID / per_stack)
+        assert sum(stacks) == GRID
+        assert len(golden) <= golden_step_cap(GRID)
+        assert len(shapes) < GRID
 
 
 class TestStackMemory:

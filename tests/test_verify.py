@@ -20,7 +20,7 @@ from shnr import (
 )
 from shnr.cli import build_parser
 from shnr.verify import InstanceGenConfig, _eq_slack, _ineq_slack
-from conftest import make_ctx
+from conftest import golden_step_cap, make_ctx
 
 SMALL_CFG = InstanceGenConfig(
     dims=(2, 3), rank_profiles=("full", "n-1"), instances_per_check=8, seed=42
@@ -118,13 +118,13 @@ class TestAngleSweeps:
         t = verify.random_member(ctx, seed=51, unit_norm=True)
         spec = {s.id: s for s in catalog()}[check_id]
         spec.evaluator(ctx, {"T": t}, desc)
-        sweep = verify._CFG64
-        grid = [s for s in shapes if s == (sweep.grid_points, n, n)]
+        sweep = verify._SWEEP_GRID
+        grid = [s for s in shapes if s == (sweep, n, n)]
         golden = [s for s in shapes if s == (1, n, n)]
         singles = [s for s in shapes if s == (n, n)]
         assert len(grid) == 2
         assert len(golden) % 2 == 0
-        assert len(golden) <= 2 * (sweep.max_refine_iters + 2)
+        assert len(golden) <= 2 * golden_step_cap(sweep)
         assert len(singles) <= 2
         assert len(grid) + len(golden) + len(singles) == len(shapes)
 
@@ -217,6 +217,16 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=key):
             replay_witness(report_dict, "C01")
 
+    def test_replay_names_an_unknown_check(self, small_report):
+        report_dict = json.loads(serialize.dump_report(small_report.to_dict()))
+        with pytest.raises(ValueError, match="C99"):
+            replay_witness(report_dict, "C99")
+
+    def test_replay_names_a_check_missing_from_the_report(self):
+        report_dict = run_suite(SMALL_CFG, only=["C18"]).to_dict()
+        with pytest.raises(ValueError, match="C01"):
+            replay_witness(report_dict, "C01")
+
     def test_only_filter(self):
         rep = run_suite(SMALL_CFG, only=["C18", "C19"])
         assert [c.id for c in rep.checks] == ["C18", "C19"]
@@ -238,6 +248,13 @@ class TestRunSuite:
             InstanceGenConfig(instances_per_check=0)
         with pytest.raises(ValueError):
             InstanceGenConfig(rank_profiles=("thirds",))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_tol_rel_must_be_finite_and_nonnegative(self, tol):
+        # a nan tolerance made every slack pass: s < -nan is never true
+        with pytest.raises(ValueError, match="tol_rel"):
+            InstanceGenConfig(tol_rel=tol)
+        assert InstanceGenConfig(tol_rel=0.0).tol_rel == 0.0
 
 
 class TestMatrixRoundTrip:
