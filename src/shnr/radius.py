@@ -7,16 +7,18 @@ radius of ``T`` is
 
 an optimization over the half-circle [0, pi): replacing theta by
 theta + pi flips the sign of the A-real part, which seminorms cannot see.
-The engine samples a uniform grid, then sharpens the best bracket with a
-golden-section search.  The grid guarantees the global maximum is
-bracketed up to the Lipschitz bound L * h / 2 (h the grid step, L at most
-N(Re_A T) + N(Im_A T)); the refinement then converges to the bracketed
-peak, so the returned value is a certified lower bound of the supremum
-within that grid bound.
+The engine samples a uniform grid, then sharpens the best bracket with
+Brent's method: parabolic interpolation, which converges superlinearly on
+a smooth peak, with golden-section steps whenever a parabola does not
+shrink the bracket fast enough, as on a kinked peak.  The grid guarantees
+the global maximum is bracketed up to the Lipschitz bound L * h / 2 (h the
+grid step, L at most N(Re_A T) + N(Im_A T)); the refinement only raises
+the grid maximum, so the returned value is a certified lower bound of the
+supremum within that grid bound, whatever the refinement does.
 
 Every objective is batched: ``sup_on_circle`` hands it a 1-D array of
 angles and takes an array of values back, the whole grid in one call and
-each golden-section step as a one-angle array.  The generic objective builds
+each refinement step as a one-angle array.  The generic objective builds
 the A-real parts cos(theta) Re_A T - sin(theta) Im_A T as (k, n, n) stacks
 of at most ``linalg.STACK_BYTES`` and makes one ``N.evaluate`` call per
 stack (the stack contract of :class:`~shnr.seminorms.SeminormDescriptor`).
@@ -42,10 +44,16 @@ from . import linalg, semihilbert
 from .linalg import herm
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: Golden-section refinement stops once the bracket is this short in theta.
-#: A grid of at least 8 points brackets at most pi / 4, which takes at most
-#: 38 steps to shrink this far.
+_EPS = np.finfo(float).eps
+#: Refinement stops once the bracket is this short in theta.
 _REFINE_TOL = 1e-8
+#: No two refinement angles are closer than this; the search ends when the
+#: best angle is within two of these of both ends of its bracket.
+_STEP_TOL = _REFINE_TOL / 4.0
+#: Two values closer than this, relative, agree to roundoff: an extreme
+#: eigenvalue of an n x n Hermitian matrix is accurate to about n eps of its
+#: norm, and the objectives here are such eigenvalues at n <= 16 or so.
+_FLAT = 64.0 * _EPS
 
 
 def _require_grid(grid_points: int) -> None:
@@ -53,54 +61,105 @@ def _require_grid(grid_points: int) -> None:
         raise ValueError("grid_points must be at least 8")
 
 
-def _golden_max(f, a: float, b: float):
-    """Golden-section maximization of f on [a, b], down to a bracket of
-    ``_REFINE_TOL``; returns (x, f(x))."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    if fc >= fd:
-        best_x, best_f = c, fc
-    else:
-        best_x, best_f = d, fd
-    while b - a > _REFINE_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            if fc > best_f:
-                best_x, best_f = c, fc
+def _step_cap(width: float) -> int:
+    """Most objective calls the refinement makes on a bracket this wide:
+    as many as golden section needs to shrink it to ``_REFINE_TOL`` (two
+    starting points, then one per step).  The widest bracket a valid grid
+    leaves, pi / 4, gives 40."""
+    return 2 + math.ceil(math.log(_REFINE_TOL / width) / math.log(_INVPHI))
+
+
+def _brent_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: float):
+    """Maximize f on the bracket [a, b] around x, with f known at a, x, b.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973,
+    ch. 5), with w and v the second and third best angles so far: each
+    step goes to the vertex of the parabola through x, w and v when that
+    lies inside the bracket and moves less than half the step before last,
+    and otherwise takes a golden-section step into the larger side of x.
+    Starting with w and v at the ends makes the first step the parabola
+    through the three grid values.  On a smooth peak the steps converge
+    superlinearly.  Once x and w lie within ``_REFINE_TOL`` of each other
+    with values equal to roundoff (``_FLAT``), the parabola has nothing
+    left to resolve, so the step goes ``_STEP_TOL`` to the far side, which
+    closes that side unless it finds a higher value.  The bracket holds the
+    best value throughout.  Stops when x is within 2 ``_STEP_TOL`` of both
+    ends (a bracket of at most ``_REFINE_TOL``) or after
+    ``_step_cap(b - a)`` calls; returns (x, f(x)) with f(x) >= fx.
+    """
+    w, fw, v, fv = (a, fa, b, fb) if fa >= fb else (b, fb, a, fa)
+    d = e = b - a
+    for _ in range(_step_cap(b - a)):
+        if max(x - a, b - x) <= 2.0 * _STEP_TOL:
+            break
+        m = 0.5 * (a + b)
+        golden = True
+        if abs(e) > _STEP_TOL:
+            # vertex x + p / q of the parabola through (x, w, v)
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if x + d - a < 2.0 * _STEP_TOL or b - x - d < 2.0 * _STEP_TOL:
+                    d = math.copysign(_STEP_TOL, m - x)
+        if golden and abs(x - w) <= _REFINE_TOL and fx - fw <= _FLAT * abs(fx):
+            e, d = d, math.copysign(_STEP_TOL, m - x)
+        elif golden:
+            e = (a - x) if x >= m else (b - x)
+            d = (1.0 - _INVPHI) * e
+        u = x + (d if abs(d) >= _STEP_TOL else math.copysign(_STEP_TOL, d))
+        fu = f(u)
+        if fu > fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            if fd > best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
 def sup_on_circle(f, period: float, grid_points: int):
     """Maximize a periodic function: uniform grid, then refine best bracket.
 
     ``f`` maps a 1-D array of angles to the array of its values.  The grid
-    of ``grid_points`` angles (at least 8) is one call of ``f``; each
-    golden-section step calls it on a one-angle array.  Returns
-    (theta*, f*) with f* at least the grid maximum.
+    of ``grid_points`` angles (at least 8) is one call of ``f``; Brent's
+    method (:func:`_brent_max`) then refines the bracket of two grid steps
+    around the best angle, starting from the three grid values there, and
+    calls ``f`` on a one-angle array at each step, at most
+    ``_step_cap(2 h)`` times (h the grid step): never more than golden
+    section down to the same ``_REFINE_TOL``.  Returns (theta*, f*) with f*
+    at least the grid maximum, so the grid's L * h / 2 certificate holds as
+    it is.
     """
     _require_grid(grid_points)
     thetas = np.linspace(0.0, period, grid_points, endpoint=False)
     vals = np.asarray(f(thetas), dtype=float)
     k = int(np.argmax(vals))
     h = period / grid_points
-    lo, hi = thetas[k] - h, thetas[k] + h
 
     def f_one(x):
         return float(f(np.array([x % period]))[0])
 
-    x_ref, f_ref = _golden_max(f_one, lo, hi)
-    if f_ref >= vals[k]:
-        return x_ref % period, float(f_ref)
-    return float(thetas[k]), float(vals[k])
+    x_ref, f_ref = _brent_max(
+        f_one, thetas[k] - h, float(thetas[k]), thetas[k] + h,
+        float(vals[k - 1]), float(vals[k]), float(vals[(k + 1) % grid_points]),
+    )
+    return x_ref % period, f_ref
 
 
 def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -127,7 +186,6 @@ def _range_block(ctx, tt: np.ndarray) -> np.ndarray:
     return vk.conj().T @ tt @ vk
 
 
-_EPS = np.finfo(float).eps
 _SQRT_EPS = math.sqrt(_EPS)
 #: Moebius shift of the level-set pencil: a fixed point of the open unit
 #: disk off the real and imaginary axes, where structured inputs (diagonal,
@@ -250,12 +308,15 @@ def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
     t = semihilbert.require_member(ctx, t)
     if not t.any():
         return (0.0, 0.0) if with_error_bound else 0.0
+    a_norm = getattr(seminorm, "id", None) == "a_norm"
+    if a_norm:
+        val = _level_set_radius(_range_block(ctx, semihilbert._compress_member(ctx, t)))
+        if not with_error_bound:
+            return val
     adj = semihilbert._adjoint_of_member(ctx, t)
     r0 = (t + adj) / 2.0
     i0 = (t - adj) / 2.0j
-    if getattr(seminorm, "id", None) == "a_norm":
-        val = _level_set_radius(_range_block(ctx, semihilbert._compress_member(ctx, t)))
-    else:
+    if not a_norm:
         def f(thetas):
             return np.concatenate([
                 seminorm.evaluate(ctx, _theta_combos(r0, i0, thetas[sl]))
@@ -263,7 +324,7 @@ def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
             ])
 
         _, val = sup_on_circle(f, math.pi, grid_points)
-    if not with_error_bound:
-        return val
+        if not with_error_bound:
+            return val
     lip = float(np.sum(seminorm.evaluate(ctx, np.stack([r0, i0]))))
     return val, lip * (math.pi / grid_points) / 2.0

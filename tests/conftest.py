@@ -45,9 +45,7 @@ def ctx_grid(seed: int = 0):
     return out
 
 
-def golden_step_cap(grid_points: int, period: float = math.pi) -> int:
-    """Most objective calls a golden-section refinement makes on the best
-    bracket of a ``grid_points`` grid, two grid steps wide: the two starting
-    points plus one per step until the bracket is ``radius._REFINE_TOL``."""
-    bracket = 2.0 * period / grid_points
-    return 2 + math.ceil(math.log(radius._REFINE_TOL / bracket) / math.log(radius._INVPHI))
+def refine_step_cap(grid_points: int, period: float = math.pi) -> int:
+    """Most one-angle objective calls ``radius.sup_on_circle`` makes after
+    its grid: ``radius._step_cap`` of the bracket of two grid steps."""
+    return radius._step_cap(2.0 * period / grid_points)

@@ -142,8 +142,8 @@ def dense_grid_omega(tt: np.ndarray, t_grid: int = 180, psi_grid: int = 360) -> 
 
 def per_angle_radius(ctx, seminorm, t, grid_points: int = 720) -> float:
     """w_N(T) = sup_theta N(Re_A(e^{i theta} T)) with one ``seminorm.evaluate``
-    call on a single matrix per grid angle and per golden step: the angle
-    loop without stacks, for a nonzero member T."""
+    call on a single matrix per grid angle and per refinement step: the
+    library's angle loop without stacks, for a nonzero member T."""
     r0 = re_a(ctx, t)
     i0 = im_a(ctx, t)
 
@@ -157,8 +157,43 @@ def per_angle_radius(ctx, seminorm, t, grid_points: int = 720) -> float:
     return val
 
 
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def grid_golden_max(f, grid_points: int, period: float = math.pi) -> float:
+    """max of a periodic f: a uniform grid of ``grid_points`` angles, then
+    plain golden section on the two grid steps around the best one, down to
+    a bracket of 1e-8.  A copy of the angle engine's former refinement, so
+    an oracle built on it shares no step rule with ``sup_on_circle``."""
+    thetas = np.linspace(0.0, period, grid_points, endpoint=False)
+    vals = np.asarray(f(thetas), dtype=float)
+    k = int(np.argmax(vals))
+    h = period / grid_points
+    a, b = thetas[k] - h, thetas[k] + h
+
+    def f_one(x):
+        return float(f(np.array([x % period]))[0])
+
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = f_one(c), f_one(d)
+    best = max(float(vals[k]), fc, fd)
+    while b - a > 1e-8:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f_one(c)
+            best = max(best, fc)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f_one(d)
+            best = max(best, fd)
+    return best
+
+
 def eigenvalue_sweep(tt: np.ndarray, grid_points: int) -> float:
-    """The classical numerical radius of the compression ``tt``."""
+    """The classical numerical radius of the compression ``tt``, by
+    :func:`grid_golden_max`."""
     if not tt.any():
         return 0.0
     h1 = herm(tt)
@@ -170,8 +205,7 @@ def eigenvalue_sweep(tt: np.ndarray, grid_points: int) -> float:
             for sl in linalg.stack_slices(thetas.size, h1.nbytes)
         ])
 
-    _, val = sup_on_circle(f, math.pi, grid_points)
-    return val
+    return grid_golden_max(f, grid_points)
 
 
 def dense_grid_radius(tt: np.ndarray, angles: int = 20000) -> float:

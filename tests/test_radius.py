@@ -24,7 +24,7 @@ from shnr import (
 from shnr import radius
 from shnr.linalg import herm
 from shnr.radius import sup_on_circle
-from conftest import ctx_grid, golden_step_cap, make_ctx
+from conftest import ctx_grid, make_ctx, refine_step_cap
 from oracles import dense_grid_radius, eigenvalue_sweep
 
 A_NORM = a_norm_seminorm()
@@ -42,8 +42,10 @@ class TestConfig:
         params = inspect.signature(generalized_radius).parameters
         assert params["grid_points"].default == 720
         assert radius._REFINE_TOL == 1e-8
-        # the widest bracket a valid grid leaves, pi / 4, takes 38 steps
-        assert golden_step_cap(8) == 38 + 2
+        # the refinement makes no more calls than golden section on the
+        # same bracket: the widest bracket a valid grid leaves, pi / 4,
+        # takes two starting points and 38 steps
+        assert [refine_step_cap(g) for g in (8, 64, 180, 720)] == [40, 36, 34, 31]
 
     def test_validation(self):
         ctx = make_ctx(3, 2, seed=0)
@@ -117,10 +119,10 @@ class TestEngines:
         np.testing.assert_array_equal(
             calls[0], np.linspace(0.0, math.pi, 64, endpoint=False)
         )
-        # the rest are golden-section steps, one angle each
+        # the rest are refinement steps, one angle each
         assert all(c.shape == (1,) for c in calls[1:])
-        assert 2 <= len(calls) - 1 <= golden_step_cap(64)
-        assert theta == pytest.approx(1.0, abs=1e-6)
+        assert 2 <= len(calls) - 1 <= refine_step_cap(64)
+        assert theta == pytest.approx(1.0, abs=1e-8)
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_coarse_grid_still_brackets(self):
@@ -130,6 +132,94 @@ class TestEngines:
         fine = generalized_radius(ctx, A_NORM_GENERIC, t)
         assert coarse == pytest.approx(fine, rel=1e-7)
 
+
+def _refine(f, grid_points=64):
+    """(theta*, f*, one-angle calls, grid max) of ``sup_on_circle``."""
+    calls = []
+
+    def counted(thetas):
+        calls.append(thetas.size)
+        return f(thetas)
+
+    theta, val = sup_on_circle(counted, math.pi, grid_points)
+    grid_max = float(np.max(f(np.linspace(0.0, math.pi, grid_points, endpoint=False))))
+    assert calls[0] == grid_points and all(c == 1 for c in calls[1:])
+    return theta, val, len(calls) - 1, grid_max
+
+
+def _circle_dist(x, y, period=math.pi):
+    return abs((x - y + period / 2) % period - period / 2)
+
+
+class TestRefinement:
+    """Brent refinement in ``sup_on_circle``: parabolic steps on smooth
+    peaks, golden-section steps on kinks, never more calls than
+    ``refine_step_cap``, and never below the grid maximum."""
+
+    def test_smooth_peak_takes_few_steps(self):
+        # golden section takes all 36 calls of the cap here
+        theta, val, steps, _ = _refine(lambda t: np.cos(2.0 * (t - 1.0)))
+        assert steps <= 18
+        assert _circle_dist(theta, 1.0) <= 1e-8
+        assert val == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("grid_points", [8, 64, 180, 720])
+    @pytest.mark.parametrize("name,f,peak", [
+        ("abs", lambda t: 1.0 - np.abs(t - 1.0), 1.0),
+        ("asymmetric", lambda t: 1.0 - np.where(t > 1.3, 3.0 * (t - 1.3), 0.4 * (1.3 - t)), 1.3),
+        # lower envelope of two cosines crossing at theta = 1
+        ("crossing_cosines", lambda t: np.minimum(np.cos(t - 0.5), np.cos(t - 1.5)), 1.0),
+    ])
+    def test_kinked_peak(self, name, f, peak, grid_points):
+        theta, val, steps, grid_max = _refine(f, grid_points)
+        assert steps <= refine_step_cap(grid_points)
+        assert _circle_dist(theta, peak) <= 1e-8
+        assert val >= grid_max
+        assert val == float(f(np.array([theta]))[0])
+
+    @pytest.mark.parametrize("peak", [0.0, 1e-3, 1e-9, math.pi - 1e-3, math.pi - 1e-9])
+    def test_peak_at_the_period_wrap(self, peak):
+        # the bracket around the best grid angle crosses 0 = pi; theta* is
+        # reported in [0, pi)
+        theta, val, steps, grid_max = _refine(lambda t: np.cos(2.0 * (t - peak)))
+        assert 0.0 <= theta < math.pi
+        assert _circle_dist(theta, peak) <= 1e-8
+        assert val >= grid_max and val == pytest.approx(1.0, abs=1e-15)
+        assert steps <= 18
+
+    @staticmethod
+    def _rising():
+        """The grid peaks at theta = 1; then every one-angle call beats the
+        last, wherever it lands."""
+        count = [0]
+
+        def f(t):
+            if t.size > 1:
+                return np.cos(2.0 * (t - 1.0))
+            count[0] += 1
+            return np.array([2.0 + count[0]])
+
+        return f
+
+    @pytest.mark.parametrize("name", ["rising", "noise", "flat", "step"])
+    @pytest.mark.parametrize("grid_points", [8, 64, 720])
+    def test_step_cap_on_adversarial_objectives(self, name, grid_points):
+        f = {
+            "rising": self._rising(),
+            "noise": lambda t: np.sin(1e7 * t),
+            "flat": lambda t: np.ones_like(t),
+            "step": lambda t: (t > 1.0).astype(float),
+        }[name]
+        theta, val, steps, grid_max = _refine(f, grid_points)
+        assert 2 <= steps <= refine_step_cap(grid_points)
+        assert val >= grid_max
+        assert 0.0 <= theta < math.pi
+
+    def test_step_cap_is_hard(self, monkeypatch):
+        monkeypatch.setattr(radius, "_step_cap", lambda width: 5)
+        theta, val, steps, _ = _refine(self._rising())
+        assert steps == 5 and val == 7.0
+        assert _circle_dist(theta, 1.0) < math.pi / 64
 
 def _seeded_cases():
     """(n, rank, seed) for n = 2..16, ranks full, n-1 and half, two seeds."""
@@ -206,6 +296,26 @@ class TestLevelSet:
     def test_adversarial(self, name, t, exact):
         self._check(build_context(np.eye(t.shape[0])), t, exact)
 
+    @pytest.mark.parametrize("e", [1e-13, 1e-11, 1e-9, 1e-7])
+    @pytest.mark.parametrize("b", ["identity", "diag"])
+    def test_jordan_block_shifted_just_past_half(self, b, e):
+        # Q (J + (0.5 + e) e^{i phi} B) Q*: for B = I, W is the disk of
+        # radius 1/2 around (0.5 + e) e^{i phi}, so the radius is 1 + e and
+        # the Jordan part's constant eigenvalue sits e below it, where the
+        # pencil is near singular; the level set must still meet its
+        # documented sqrt(eps) relative certificate
+        bmat = np.eye(2) if b == "identity" else np.diag([1.0, 0.3])
+        j = _jordan(2)
+        rng = np.random.default_rng(int(-math.log10(e)) + (0 if b == "identity" else 100))
+        for _ in range(12):
+            q, _r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            m = q @ (j + (0.5 + e) * np.exp(1j * phi) * bmat) @ q.conj().T
+            got = radius._level_set_radius(m)
+            assert got >= dense_grid_radius(m) * (1.0 - radius._SQRT_EPS)
+            if b == "identity":
+                assert abs(got - (1.0 + e)) <= radius._SQRT_EPS * (1.0 + e)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_constant_branch_below_radius_unitarily_mixed(self, seed):
         # a unitary similarity keeps W(T) but couples the Jordan block's
@@ -256,7 +366,7 @@ class TestLevelSet:
             raise AssertionError("angle sweep on the A-norm path")
 
         monkeypatch.setattr(radius, "sup_on_circle", forbidden)
-        monkeypatch.setattr(radius, "_golden_max", forbidden)
+        monkeypatch.setattr(radius, "_brent_max", forbidden)
         ctx = make_ctx(4, 3, seed=65)
         t = verify.random_member(ctx, seed=66, unit_norm=True)
         w = omega_a_fast(ctx, t)

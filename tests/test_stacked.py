@@ -27,7 +27,7 @@ from shnr import (
 )
 from shnr import linalg
 from shnr.semihilbert import require_member
-from conftest import golden_step_cap, make_ctx
+from conftest import make_ctx, refine_step_cap
 
 from oracles import per_angle_radius
 
@@ -149,14 +149,14 @@ class TestBatchedAngleLoop:
         ctx = make_ctx(n, 2, seed=740)
         t = verify.random_member(ctx, seed=741, unit_norm=True)
         generalized_radius(ctx, desc, t, GRID)
-        # golden-section steps are one-angle stacks: two to start, one per
-        # iteration; every other call is a grid stack
+        # refinement steps are one-angle stacks, at least two and at most
+        # refine_step_cap of them; every other call is a grid stack
         stacks = [s[0] for s in shapes if s != (1, n, n)]
-        golden = [s for s in shapes if s == (1, n, n)]
+        steps = [s for s in shapes if s == (1, n, n)]
         per_stack = linalg.STACK_BYTES // (n * n * 16)
         assert len(stacks) == math.ceil(GRID / per_stack)
         assert sum(stacks) == GRID
-        assert len(golden) <= golden_step_cap(GRID)
+        assert 2 <= len(steps) <= refine_step_cap(GRID)
         assert len(shapes) < GRID
 
 

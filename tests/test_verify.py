@@ -20,7 +20,7 @@ from shnr import (
 )
 from shnr.cli import build_parser
 from shnr.verify import InstanceGenConfig, _eq_slack, _ineq_slack
-from conftest import golden_step_cap, make_ctx
+from conftest import make_ctx, refine_step_cap
 
 SMALL_CFG = InstanceGenConfig(
     dims=(2, 3), rank_profiles=("full", "n-1"), instances_per_check=8, seed=42
@@ -103,7 +103,7 @@ class TestCatalog:
 class TestAngleSweeps:
     @pytest.mark.parametrize("check_id", ["C02", "C07"])
     def test_sweep_makes_stacked_calls(self, check_id):
-        # per form, one call on the whole 64-angle grid and one per golden
+        # per form, one call on the whole 64-angle grid and one per refinement
         # step; outside the sweep only N(T) or N(Re_A T), N(Im_A T)
         n = 3
         shapes = []
@@ -120,13 +120,13 @@ class TestAngleSweeps:
         spec.evaluator(ctx, {"T": t}, desc)
         sweep = verify._SWEEP_GRID
         grid = [s for s in shapes if s == (sweep, n, n)]
-        golden = [s for s in shapes if s == (1, n, n)]
+        steps = [s for s in shapes if s == (1, n, n)]
         singles = [s for s in shapes if s == (n, n)]
         assert len(grid) == 2
-        assert len(golden) % 2 == 0
-        assert len(golden) <= 2 * golden_step_cap(sweep)
+        assert len(steps) % 2 == 0
+        assert 4 <= len(steps) <= 2 * refine_step_cap(sweep)
         assert len(singles) <= 2
-        assert len(grid) + len(golden) + len(singles) == len(shapes)
+        assert len(grid) + len(steps) + len(singles) == len(shapes)
 
 
 class TestSlack:
