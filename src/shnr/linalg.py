@@ -189,12 +189,6 @@ def range_projector(a, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     return herm(vk @ vk.conj().T)
 
 
-def numerical_rank(a, rtol: float = DEFAULT_RTOL) -> int:
-    """Number of eigenvalues of a Hermitian PSD matrix above cutoff."""
-    _, _, _, keep = _psd_spectrum(a, rtol, "numerical_rank")
-    return int(np.count_nonzero(keep))
-
-
 def stack_slices(count: int, item_bytes: int) -> list:
     """Consecutive slices of ``range(count)`` whose items, ``item_bytes``
     each, fit in :data:`STACK_BYTES`; every slice holds at least one item."""

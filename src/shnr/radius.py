@@ -170,20 +170,15 @@ def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndar
 def omega_a_fast(ctx, t) -> float:
     """A-numerical radius by the level-set iteration.
 
-    omega_A(T) is the classical numerical radius of the compression T~,
-    restricted to range(A); see :func:`_level_set_radius`.  The value is
-    attained at an angle, and the radius exceeds it by at most the
-    iteration's margin: 2 n eps |T~|_F relative to the value, or sqrt(eps)
-    when the pencil is singular at the last level.
+    omega_A(T) is the classical numerical radius of the r x r range block
+    B of T (``semihilbert._range_block``), which is that of the compression
+    T~; see :func:`_level_set_radius`.  The value is attained at an angle,
+    and the radius exceeds it by at most the iteration's margin: 2 r eps
+    |B|_F relative to the value, or sqrt(eps) when the pencil is singular
+    at the last level.
     """
-    return _level_set_radius(_range_block(ctx, semihilbert.compress(ctx, t)))
-
-
-def _range_block(ctx, tt: np.ndarray) -> np.ndarray:
-    """The rank x rank block of a compression on range(A): T~ vanishes on
-    ker A and maps into range(A), so the block has T~'s numerical radius."""
-    vk = ctx.eigenvectors[:, ctx.dim - ctx.rank:]
-    return vk.conj().T @ tt @ vk
+    t = semihilbert.require_member(ctx, t)
+    return _level_set_radius(semihilbert._range_block(ctx, t))
 
 
 _SQRT_EPS = math.sqrt(_EPS)
@@ -310,7 +305,7 @@ def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
         return (0.0, 0.0) if with_error_bound else 0.0
     a_norm = getattr(seminorm, "id", None) == "a_norm"
     if a_norm:
-        val = _level_set_radius(_range_block(ctx, semihilbert._compress_member(ctx, t)))
+        val = _level_set_radius(semihilbert._range_block(ctx, t))
         if not with_error_bound:
             return val
     adj = semihilbert._adjoint_of_member(ctx, t)

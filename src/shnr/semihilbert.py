@@ -4,25 +4,25 @@ A non-zero Hermitian PSD matrix ``A`` induces the semi-inner product
 ``<x, y>_A = <Ax, y> = y* A x`` and with it a whole parallel operator
 theory: A-adjoints, A-selfadjoint/positive/normal/unitary classes, the
 A-operator seminorm and the A-numerical radius.  This module builds the
-precomputed context (square root, pseudoinverses, range projector) and
-exposes those primitives; the A-numerical radius is
-:func:`shnr.radius.omega_a_fast`.
+context (A and its eigenbasis) and exposes those primitives; the
+A-numerical radius is :func:`shnr.radius.omega_a_fast`.
 
-Every A-quantity is computed through the compression
-
-    T~  =  A^{1/2} . T . (A^{1/2})^+,
-
-the ordinary-Hilbert-space shadow of ``T``: for A-adjointable ``T`` the
-map ``x -> A^{1/2} x`` sends A-unit vectors onto unit vectors of the range
-of A and intertwines ``T`` with ``T~``, so A-seminorms of ``T`` become
-classical norms of ``T~``.
+It is the one module that knows how range(A) is represented.  With
+``A = V_r D V_r*`` (``V_r`` the r eigenvectors above the rank cutoff,
+``V_k`` the others), an operator T on ``(H, <.,.>_A)`` becomes the r x r
+range block ``B = D^{1/2} V_r* T V_r D^{-1/2}``: for A-adjointable ``T`` the
+map ``x -> D^{1/2} V_r* x`` sends A-unit vectors onto unit vectors and
+intertwines ``T`` with ``B``, so A-seminorms of ``T`` are classical norms
+of ``B``.  The compression ``T~ = A^{1/2} T (A^{1/2})^+`` is ``V_r B V_r*``
+and the adjoint ``T# = A^+ T* A`` is ``V_r D^{-1} (V_r* T V_r)* D V_r*``.
+:func:`_range_block` and its inverse :func:`_lift` map between the two.
 
 Only operators with ``range(T* A)`` inside ``range(A)`` admit A-adjoints;
 in finite dimension that is exactly the kernel condition
-``T(ker A) <= ker A`` and coincides with A-boundedness, so one membership
-predicate serves both classes.  Non-members are rejected (``NotMemberError``)
-rather than silently compressed: their compression is finite but means
-nothing.
+``T(ker A) <= ker A`` (the block ``D V_r* T V_k`` vanishes) and coincides
+with A-boundedness, so one membership predicate serves both classes.
+Non-members are rejected (``NotMemberError``) rather than silently
+compressed: their compression is finite but means nothing.
 """
 
 from __future__ import annotations
@@ -50,26 +50,33 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class SemiHilbertContext:
-    """Precomputed data for one inducing operator A.
+    """One inducing operator A and its eigenbasis.
 
-    Immutable after construction; safe to share across threads.
+    The eigenvalues ascend, so the last ``rank`` eigenvector columns span
+    range(A) and the others ker A.  Immutable after construction; safe to
+    share across threads.
     """
 
     a: np.ndarray            # the inducing Hermitian PSD matrix
-    half: np.ndarray         # A^{1/2}
-    half_pinv: np.ndarray    # (A^{1/2})^+
-    a_pinv: np.ndarray       # A^+
-    proj: np.ndarray         # orthogonal projector onto range(A)
     rank: int                # numerical rank of A
     rtol: float              # relative tolerance for all predicates
-    scale: float             # largest eigenvalue of A
-    eigenvalues: np.ndarray = field(repr=False)   # ascending spectrum of A
+    eigenvalues: np.ndarray = field(repr=False)   # ascending spectrum of A, clamped at 0
     eigenvectors: np.ndarray = field(repr=False)  # matching eigenvector columns
-    kernel_proj: np.ndarray = field(repr=False)   # I - proj, projector onto ker A
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
+
+    @property
+    def scale(self) -> float:
+        """Largest eigenvalue of A."""
+        return float(self.eigenvalues[-1])
+
+    @property
+    def proj(self) -> np.ndarray:
+        """Orthogonal projector V_r V_r* onto range(A)."""
+        vr = _split(self)[0]
+        return herm(vr @ vr.conj().T)
 
     def tol(self, operator_scale: float = 0.0) -> float:
         """Relative tolerance rtol * scale * (1 + |T|)."""
@@ -77,7 +84,7 @@ class SemiHilbertContext:
 
 
 def build_context(a, rtol: float = DEFAULT_RTOL) -> SemiHilbertContext:
-    """Validate A and precompute every derived matrix.
+    """Validate A and keep its eigendecomposition and rank.
 
     Raises ``NotHermitianError`` / ``NotPositiveError`` / ``ZeroOperatorError``
     when A is not a non-zero Hermitian PSD matrix within tolerance.
@@ -86,25 +93,38 @@ def build_context(a, rtol: float = DEFAULT_RTOL) -> SemiHilbertContext:
     w, v, lam_max, keep = linalg._psd_spectrum(a, rtol, "A")
     if lam_max <= 0.0:
         raise ZeroOperatorError("A must be a non-zero positive operator")
-    wk = w[keep]
-    vk = v[:, keep]
-    half = herm((vk * np.sqrt(wk)) @ vk.conj().T)
-    half_pinv = herm((vk / np.sqrt(wk)) @ vk.conj().T)
-    a_pinv = herm((vk / wk) @ vk.conj().T)
-    proj = herm(vk @ vk.conj().T)
     return SemiHilbertContext(
         a=herm(a),
-        half=half,
-        half_pinv=half_pinv,
-        a_pinv=a_pinv,
-        proj=proj,
         rank=int(np.count_nonzero(keep)),
         rtol=rtol,
-        scale=lam_max,
         eigenvalues=w,
         eigenvectors=v,
-        kernel_proj=np.eye(a.shape[0]) - proj,
     )
+
+
+def _split(ctx: SemiHilbertContext):
+    """(V_r, V_k, D): the range and kernel eigenvectors of A, and the
+    eigenvalues of the range ones."""
+    k = ctx.dim - ctx.rank
+    return ctx.eigenvectors[:, k:], ctx.eigenvectors[:, :k], ctx.eigenvalues[k:]
+
+
+def _range_block(ctx: SemiHilbertContext, t: np.ndarray) -> np.ndarray:
+    """The r x r block D^{1/2} V_r* T V_r D^{-1/2} of T, or of each matrix
+    of a (k, n, n) stack: the operator T induces on range(A)."""
+    vr, _, d = _split(ctx)
+    s = np.sqrt(d)
+    return s[:, None] * (vr.conj().T @ t @ vr) / s
+
+
+def _lift(ctx: SemiHilbertContext, m: np.ndarray, kernel=None) -> np.ndarray:
+    """V_r D^{-1/2} M D^{1/2} V_r*, the n x n member whose range block is
+    the r x r matrix M, plus V_k K V_k* for an (n - r) x (n - r) kernel
+    block K when one is given."""
+    vr, vk, d = _split(ctx)
+    s = np.sqrt(d)
+    t = (vr / s) @ m @ (s[:, None] * vr.conj().T)
+    return t if kernel is None else t + vk @ kernel @ vk.conj().T
 
 
 def a_inner(ctx: SemiHilbertContext, x, y) -> complex:
@@ -125,16 +145,19 @@ def a_norm_vec(ctx: SemiHilbertContext, x) -> float:
 
 
 def membership_residual(ctx: SemiHilbertContext, t):
-    """Spectral norm of (I - P) T* A, zero iff T admits an A-adjoint.
+    """Spectral norm of the range-to-kernel block D V_r* T V_k, which is
+    |(I - P) T* A|; zero iff T admits an A-adjoint.
 
-    A (k, n, n) stack gives the k residuals as an array.
+    A (k, n, n) stack gives the k residuals as an array.  When A has full
+    rank the block is empty and every residual is zero.
     """
     return _residual(ctx, _check_shape(ctx, t, stack=True))
 
 
 def _residual(ctx: SemiHilbertContext, t: np.ndarray):
     """:func:`membership_residual` of a T that :func:`_check_shape` has checked."""
-    return linalg._spectral_norm(ctx.kernel_proj @ ctranspose(t) @ ctx.a)
+    vr, vk, d = _split(ctx)
+    return linalg._spectral_norm(d[:, None] * (vr.conj().T @ t @ vk))
 
 
 def _member_verdict(ctx: SemiHilbertContext, t: np.ndarray):
@@ -181,8 +204,11 @@ def require_member(ctx: SemiHilbertContext, t) -> np.ndarray:
 
 
 def _adjoint_of_member(ctx: SemiHilbertContext, t: np.ndarray) -> np.ndarray:
-    """A^+ T* A for a T already validated by :func:`require_member`."""
-    return ctx.a_pinv @ ctranspose(t) @ ctx.a
+    """A^+ T* A = V_r D^{-1} (V_r* T V_r)* D V_r* for a T already
+    validated by :func:`require_member`."""
+    vr, _, d = _split(ctx)
+    inner = ctranspose(vr.conj().T @ t @ vr)
+    return (vr / d) @ inner @ (d[:, None] * vr.conj().T)
 
 
 def a_adjoint(ctx: SemiHilbertContext, t) -> np.ndarray:
@@ -212,34 +238,33 @@ def compress(ctx: SemiHilbertContext, t) -> np.ndarray:
     compress(T#) = compress(T)*.  A (k, n, n) stack is compressed
     matrix by matrix.
     """
-    return _compress_member(ctx, require_member(ctx, t))
-
-
-def _compress_member(ctx: SemiHilbertContext, t: np.ndarray) -> np.ndarray:
-    """A^{1/2} T (A^{1/2})^+ for a T already validated by :func:`require_member`."""
-    return ctx.half @ t @ ctx.half_pinv
+    t = require_member(ctx, t)
+    vr = _split(ctx)[0]
+    return vr @ _range_block(ctx, t) @ vr.conj().T
 
 
 def uncompress(ctx: SemiHilbertContext, m) -> np.ndarray:
     """Left inverse of compress on range-supported matrices.
 
-    Maps M to (A^{1/2})^+ M A^{1/2}; compress(uncompress(M)) = P M P.
+    Maps M to (A^{1/2})^+ M A^{1/2}, the lift of the range block V_r* M V_r;
+    compress(uncompress(M)) = P M P.
     Useful for constructing members with a prescribed compression
     (Hermitian compression -> A-selfadjoint operator, PSD -> A-positive,
     normal -> A-normal up to the kernel block).
     """
     m = _check_shape(ctx, m)
-    return ctx.half_pinv @ m @ ctx.half
+    vr = _split(ctx)[0]
+    return _lift(ctx, vr.conj().T @ m @ vr)
 
 
 def a_operator_norm(ctx: SemiHilbertContext, t) -> float:
-    """A-operator seminorm |T|_A = sigma_max of the compression.
+    """A-operator seminorm |T|_A = sigma_max of the range block.
 
     Equals sup |<Tx, y>_A| over A-unit x, y, and sup |Tx|_A / |x|_A over
     the range of A.  Raises ``NotMemberError`` outside the A-bounded class
     (where the supremum is infinite).  A (k, n, n) stack gives k values.
     """
-    return linalg.spectral_norm(compress(ctx, t))
+    return linalg._spectral_norm(_range_block(ctx, require_member(ctx, t)))
 
 
 # The class predicates below compare each defect with rtol times the size it
@@ -273,12 +298,13 @@ def is_a_normal(ctx: SemiHilbertContext, t) -> bool:
 def is_a_unitary(ctx: SemiHilbertContext, t) -> bool:
     """Whether |Tx|_A = |T# x|_A = |x|_A for all x (requires membership).
 
-    Tested on the compression: both T~* T~ and T~ T~* must equal the range
-    projector, within rtol (1 + |T~|^2).
+    Tested on the range block B: both B* B and B B* must equal the
+    identity on range(A), within rtol (1 + |B|^2).
     """
-    tt = compress(ctx, t)
-    tol = ctx.rtol * (1.0 + linalg.spectral_norm(tt) ** 2)
+    b = _range_block(ctx, require_member(ctx, t))
+    eye = np.eye(ctx.rank)
+    tol = ctx.rtol * (1.0 + linalg._spectral_norm(b) ** 2)
     return (
-        linalg.spectral_norm(tt.conj().T @ tt - ctx.proj) <= tol
-        and linalg.spectral_norm(tt @ tt.conj().T - ctx.proj) <= tol
+        linalg._spectral_norm(b.conj().T @ b - eye) <= tol
+        and linalg._spectral_norm(b @ b.conj().T - eye) <= tol
     )

@@ -98,15 +98,15 @@ def random_member(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarr
     """
     rng = _resolve_rng(seed, rng)
     g = _ginibre(ctx.dim, rng)
-    t = g - ctx.proj @ g @ (np.eye(ctx.dim) - ctx.proj)
+    pg = ctx.proj @ g
+    t = g - pg + pg @ ctx.proj
     return _unit_norm(t) if unit_norm else t
 
 
 def random_a_selfadjoint(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarray:
     """Random A-selfadjoint operator (Hermitian compression lifted back)."""
     rng = _resolve_rng(seed, rng)
-    m = ctx.proj @ herm(_ginibre(ctx.dim, rng)) @ ctx.proj
-    t = semihilbert.uncompress(ctx, m)
+    t = semihilbert.uncompress(ctx, herm(_ginibre(ctx.dim, rng)))
     return _unit_norm(t) if unit_norm else t
 
 
@@ -114,40 +114,25 @@ def random_a_positive(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.n
     """Random A-positive operator (PSD compression lifted back)."""
     rng = _resolve_rng(seed, rng)
     g = _ginibre(ctx.dim, rng)
-    m = ctx.proj @ (g @ g.conj().T) @ ctx.proj
-    t = semihilbert.uncompress(ctx, m)
+    t = semihilbert.uncompress(ctx, g @ g.conj().T)
     return _unit_norm(t) if unit_norm else t
-
-
-def _range_kernel_bases(ctx):
-    n, r = ctx.dim, ctx.rank
-    u = ctx.eigenvectors  # ascending eigenvalues: kernel first, range last
-    return u[:, n - r :], u[:, : n - r]
 
 
 def random_a_normal(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarray:
     """Random A-normal operator: normal compression plus a free kernel block."""
     rng = _resolve_rng(seed, rng)
-    ur, uk = _range_kernel_bases(ctx)
     r = ctx.rank
     v = _random_unitary(r, rng)
     d = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-    m = ur @ ((v * d) @ v.conj().T) @ ur.conj().T
-    t = semihilbert.uncompress(ctx, m)
-    if uk.shape[1]:
-        t = t + uk @ _ginibre(uk.shape[1], rng) @ uk.conj().T
+    t = semihilbert._lift(ctx, (v * d) @ v.conj().T, _ginibre(ctx.dim - r, rng))
     return _unit_norm(t) if unit_norm else t
 
 
 def random_a_unitary(ctx, seed=None, rng=None) -> np.ndarray:
     """Random A-unitary operator: unitary compression plus identity on ker A."""
     rng = _resolve_rng(seed, rng)
-    ur, uk = _range_kernel_bases(ctx)
     wr = _random_unitary(ctx.rank, rng)
-    u_op = semihilbert.uncompress(ctx, ur @ wr @ ur.conj().T)
-    if uk.shape[1]:
-        u_op = u_op + uk @ uk.conj().T
-    return u_op
+    return semihilbert._lift(ctx, wr, np.eye(ctx.dim - ctx.rank))
 
 
 def random_nilpotent(n: int, rng) -> np.ndarray:
@@ -162,9 +147,7 @@ def random_nilpotent(n: int, rng) -> np.ndarray:
 
 def _range_nilpotent(ctx, rng) -> np.ndarray:
     """Nilpotent member supported on range(A), so that A T^2 = 0 exactly."""
-    ur, _ = _range_kernel_bases(ctx)
-    m = ur @ random_nilpotent(ctx.rank, rng) @ ur.conj().T
-    return _unit_norm(semihilbert.uncompress(ctx, m))
+    return _unit_norm(semihilbert._lift(ctx, random_nilpotent(ctx.rank, rng)))
 
 
 def _unit_vector(ctx, rng):

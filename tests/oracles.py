@@ -4,7 +4,8 @@ Each oracle reaches the same quantity as the library through a different
 algorithm (characteristic polynomial roots, power iteration, dense sphere
 sampling, direct vector ascent, a dense coefficient grid by SVD, one
 evaluator call per angle, an angle grid with golden-section refinement, a
-dense angle grid) so that agreement is evidence, not tautology.
+dense angle grid, n x n pseudoinverse formulas in place of the range
+block) so that agreement is evidence, not tautology.
 They are deliberately slow and simple.
 """
 
@@ -15,6 +16,45 @@ import numpy as np
 from shnr import compress, im_a, linalg, re_a
 from shnr.linalg import herm
 from shnr.radius import _theta_combos, sup_on_circle
+
+
+def psd_parts(a, rtol: float = linalg.DEFAULT_RTOL):
+    """(A^{1/2}, (A^{1/2})^+, A^+, P) of a Hermitian PSD A as n x n
+    matrices, from numpy's own ``eigh`` of A with the eigenvalues at or
+    below rtol * lam_max dropped; P is the projector onto range(A)."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    keep = w > rtol * w[-1]
+    wk, vk = w[keep], v[:, keep]
+    return (
+        (vk * np.sqrt(wk)) @ vk.conj().T,
+        (vk / np.sqrt(wk)) @ vk.conj().T,
+        (vk / wk) @ vk.conj().T,
+        vk @ vk.conj().T,
+    )
+
+
+def semihilbert_formulas(a, t, m, rtol: float = linalg.DEFAULT_RTOL) -> dict:
+    """The semi-Hilbert primitives of a member T (and the uncompression of
+    a matrix M) by their n x n definitions, from :func:`psd_parts`:
+    compress A^{1/2} T (A^{1/2})^+, adjoint A^+ T* A, uncompress
+    (A^{1/2})^+ M A^{1/2}, membership residual |(I - P) T* A|_2 and A-norm
+    |T~|_2, each by plain matrix products and ``svd``."""
+    half, half_pinv, a_pinv, proj = psd_parts(a, rtol)
+    tt = half @ t @ half_pinv
+    return {
+        "compress": tt,
+        "adjoint": a_pinv @ t.conj().T @ a,
+        "uncompress": half_pinv @ m @ half,
+        "residual": _sigma_max((np.eye(a.shape[0]) - proj) @ t.conj().T @ a),
+        "a_norm": _sigma_max(tt),
+        "half": half,
+        "half_pinv": half_pinv,
+        "a_pinv": a_pinv,
+    }
+
+
+def _sigma_max(m: np.ndarray) -> float:
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def char_poly_coeffs(m: np.ndarray) -> np.ndarray:

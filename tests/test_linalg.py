@@ -14,13 +14,17 @@ from shnr import (
     range_projector,
     spectral_norm,
 )
-from shnr.linalg import numerical_rank
 
 from oracles import (
     eigenvalues_by_charpoly,
     power_iteration_sigma_max,
     sampling_sigma_max,
 )
+
+
+def numerical_rank(a, rtol):
+    """The numerical rank of A: the rank its context keeps."""
+    return build_context(a, rtol).rank
 
 
 def random_complex(shape, seed):
@@ -199,7 +203,7 @@ class TestRtolContract:
     def test_loose_rtol_still_accepted(self):
         a = np.diag([1.0, 0.4])
         assert build_context(a, rtol=0.45).rank == 1
-        assert numerical_rank(a, rtol=0.45) == 1
+        np.testing.assert_allclose(psd_sqrt(a, rtol=0.45), np.diag([1.0, 0.0]))
         np.testing.assert_allclose(pseudo_inverse(a, rtol=0.45), np.diag([1.0, 0.0]))
 
 
@@ -228,8 +232,12 @@ class TestPsdSqrt:
         # build_context keeps, at every scale of A
         q, _ = np.linalg.qr(random_complex((3, 3), seed=21))
         a = (q * [1.0, 0.5, 1e-12]) @ q.conj().T
-        half = build_context(a).half
-        np.testing.assert_allclose(psd_sqrt(c * a) / np.sqrt(c), half, rtol=0, atol=1e-12)
+        ctx = build_context(c * a)
+        root = psd_sqrt(c * a) / np.sqrt(c)
+        assert ctx.rank == 2
+        # a kept 1e-12 eigenvalue would put 1e-6 of root outside range(A)
+        np.testing.assert_allclose(ctx.proj @ root @ ctx.proj, root, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(root @ root, ctx.proj @ a @ ctx.proj, rtol=0, atol=1e-12)
 
 
 class TestRangeProjector:
@@ -255,4 +263,4 @@ class TestRangeProjector:
         p = range_projector(a)
         assert spectral_norm(p @ p - p) <= 1e-12
         assert spectral_norm(p - p.conj().T) <= 1e-14
-        assert numerical_rank(a) == 2
+        assert build_context(a).rank == 2

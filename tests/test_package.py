@@ -38,3 +38,39 @@ def test_no_function_level_import(path):
     # every module imports at its top, so the import graph is the one
     # the module headers show
     assert _function_level_imports(path) == []
+
+
+#: Context fields that hold A's eigenbasis, and the linalg kernels that
+#: build a range basis, square root, pseudoinverse or projector from a
+#: matrix: outside ``semihilbert`` (and ``linalg``, their home) nothing reads
+#: or calls them, so range(A) has one representation.
+_EIGEN_FIELDS = {"eigenvectors", "eigenvalues"}
+_BASIS_KERNELS = {"_psd_spectrum", "range_projector", "psd_sqrt", "pseudo_inverse"}
+
+
+def _range_representation_uses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        name = None
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        if name in _EIGEN_FIELDS or (name in _BASIS_KERNELS and path.name != "linalg.py"):
+            found.append(f"{path.name}:{node.lineno} {name}")
+        # I - P, or anything minus the range projector, is the kernel projector
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            if isinstance(node.right, ast.Attribute) and node.right.attr == "proj":
+                found.append(f"{path.name}:{node.lineno} - proj")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "semihilbert.py"],
+    ids=lambda p: p.name,
+)
+def test_range_of_a_has_one_owner(path):
+    # only semihilbert splits A's eigenbasis into range and kernel; other
+    # modules go through its primitives, and may read ctx.proj
+    assert _range_representation_uses(path) == []
