@@ -171,14 +171,13 @@ def omega_a_fast(ctx, t) -> float:
     """A-numerical radius by the level-set iteration.
 
     omega_A(T) is the classical numerical radius of the r x r range block
-    B of T (``semihilbert._range_block``), which is that of the compression
+    B of T (``semihilbert._member_block``), which is that of the compression
     T~; see :func:`_level_set_radius`.  The value is attained at an angle,
     and the radius exceeds it by at most the iteration's margin: 2 r eps
     |B|_F relative to the value, or sqrt(eps) when the pencil is singular
     at the last level.
     """
-    t = semihilbert.require_member(ctx, t)
-    return _level_set_radius(semihilbert._range_block(ctx, t))
+    return _level_set_radius(semihilbert._member_block(ctx, t))
 
 
 _SQRT_EPS = math.sqrt(_EPS)

@@ -79,7 +79,7 @@ class SemiHilbertContext:
         return herm(vr @ vr.conj().T)
 
     def tol(self, operator_scale: float = 0.0) -> float:
-        """Relative tolerance rtol * scale * (1 + |T|)."""
+        """Membership tolerance rtol |A| (1 + |T|), not homogeneous in T."""
         return self.rtol * self.scale * (1.0 + operator_scale)
 
 
@@ -203,6 +203,12 @@ def require_member(ctx: SemiHilbertContext, t) -> np.ndarray:
     return t
 
 
+def _member_block(ctx: SemiHilbertContext, t) -> np.ndarray:
+    """The range block B of T or of each matrix of a stack, after one membership
+    check; on members the block map is multiplicative and sends T# to B*."""
+    return _range_block(ctx, require_member(ctx, t))
+
+
 def _adjoint_of_member(ctx: SemiHilbertContext, t: np.ndarray) -> np.ndarray:
     """A^+ T* A = V_r D^{-1} (V_r* T V_r)* D V_r* for a T already
     validated by :func:`require_member`."""
@@ -238,9 +244,8 @@ def compress(ctx: SemiHilbertContext, t) -> np.ndarray:
     compress(T#) = compress(T)*.  A (k, n, n) stack is compressed
     matrix by matrix.
     """
-    t = require_member(ctx, t)
     vr = _split(ctx)[0]
-    return vr @ _range_block(ctx, t) @ vr.conj().T
+    return vr @ _member_block(ctx, t) @ vr.conj().T
 
 
 def uncompress(ctx: SemiHilbertContext, m) -> np.ndarray:
@@ -264,7 +269,7 @@ def a_operator_norm(ctx: SemiHilbertContext, t) -> float:
     the range of A.  Raises ``NotMemberError`` outside the A-bounded class
     (where the supremum is infinite).  A (k, n, n) stack gives k values.
     """
-    return linalg._spectral_norm(_range_block(ctx, require_member(ctx, t)))
+    return linalg._spectral_norm(_member_block(ctx, t))
 
 
 # The class predicates below compare each defect with rtol times the size it
@@ -301,7 +306,7 @@ def is_a_unitary(ctx: SemiHilbertContext, t) -> bool:
     Tested on the range block B: both B* B and B B* must equal the
     identity on range(A), within rtol (1 + |B|^2).
     """
-    b = _range_block(ctx, require_member(ctx, t))
+    b = _member_block(ctx, t)
     eye = np.eye(ctx.rank)
     tol = ctx.rtol * (1.0 + linalg._spectral_norm(b) ** 2)
     return (

@@ -3,7 +3,7 @@
 Three concrete seminorms are provided:
 
 ``a_norm``
-    the A-operator seminorm itself, sigma_max of the compression;
+    the A-operator seminorm itself, sigma_max of the range block;
 
 ``a_alpha``
     the alpha-weighted mix
@@ -20,13 +20,16 @@ A-selfadjoint invariant, A-increasing, A-power) consumed by the check
 catalog to decide which theorems apply; the flags are declarations, not
 proofs, and :func:`shnr.verify.probe_properties` measures them empirically.
 
+Every built-in evaluator, and :func:`gamma_a`, checks membership once and
+works on the r x r range block B of its argument, where T# is B* and each
+A-seminorm of T a classical norm of B (``semihilbert._member_block``).
 The two nontrivial evaluators are global optimizations over spheres.
 On an A-selfadjoint argument both collapse to its A-operator seminorm:
 Omega_A(S) = sqrt(2) |S|_A and the alpha seminorm is |S|_A, because
-omega_A(S) = |S|_A.  A Hermitian compression, which is what every A-real
+omega_A(S) = |S|_A.  A Hermitian block, which is what every A-real
 part handed over by :func:`shnr.radius.generalized_radius` has, is
 therefore evaluated in closed form, by one batched Hermitian eigenvalue
-call per stack.  Every other compression goes to the evaluator's one
+call per stack.  Every other block goes to the evaluator's one
 general solver: a deterministic bracketing stage (coefficient grid /
 eigenvector starts) followed by a monotone block-coordinate ascent that
 converges to a stationary point.  Closed forms and iterates alike are at
@@ -58,9 +61,8 @@ class SeminormDescriptor:
     ``evaluate(ctx, t)`` takes one (n, n) operator and returns a float, or a
     (k, n, n) stack and returns the k values as an array.  The angle engine
     in :mod:`shnr.radius` hands it whole stacks of angle combinations, so a
-    custom evaluator must accept both shapes.  :func:`semihilbert.compress`,
-    :func:`semihilbert.require_member` and :func:`semihilbert.a_operator_norm`
-    accept stacks and validate one with a single batched check.
+    custom evaluator must accept both shapes.  :func:`semihilbert.require_member`
+    validates a stack with one batched check, and the other primitives accept stacks.
     """
 
     id: str
@@ -103,42 +105,30 @@ def _vdot(v, w):
     return np.einsum("ki,ki->k", v.conj(), w)
 
 
-#: Relative skew |T~ - T~*|_F / |T~|_F up to which a compression counts as
+#: Relative skew |B - B*|_F / |B|_F up to which a range block counts as
 #: Hermitian and takes the closed form.  It sits at roundoff level (the
-#: compressed A-real parts of a generalized radius measure at most ~2e-15)
+#: blocks of the A-real parts of a generalized radius measure at most ~2e-15)
 #: and is deliberately not the context's ``rtol``, a rank-truncation
 #: tolerance that users may set loosely: the closed form drops the skew
-#: part, so this threshold bounds its error.
+#: part S, and this threshold bounds it by |S|_2 <= 1e-13 sqrt(r) |B|_2 / 2.
 _HERMITIAN_SKEW_RTOL = 1e-13
 
 
-def _hermitian_compressions(tts, scale):
-    """Per matrix: whether |T~ - T~*|_F <= _HERMITIAN_SKEW_RTOL |T~|_F
-    (``scale`` = |T~|_F).
+def _evaluate_stack(b, factor, width, solve):
+    """Evaluate a range block B, or each nonzero block of a stack.
 
-    A Hermitian compression (an A-selfadjoint argument) has a closed-form
-    value; the skew part S a Hermitian verdict lets through has
-    |S|_2 <= _HERMITIAN_SKEW_RTOL sqrt(n) |T~|_2 / 2.
-    """
-    skew = np.linalg.norm(tts - ctranspose(tts), axis=(-2, -1))
-    return skew <= _HERMITIAN_SKEW_RTOL * scale
-
-
-def _evaluate_stack(ctx, t, factor, width, solve):
-    """Compress T (one operator or a stack) and evaluate its nonzero matrices.
-
-    A Hermitian compression is worth ``factor`` times the largest
-    |eigenvalue| of herm(T~), one batched eigenvalue call per
-    ``linalg.STACK_BYTES`` stack.  ``solve(tts, scale)`` returns the
-    values of a stack of the other compressions (``scale`` their Frobenius
+    A Hermitian block (an A-selfadjoint argument) is worth ``factor``
+    times the largest |eigenvalue| of herm(B), one batched eigenvalue call
+    per ``linalg.STACK_BYTES`` stack.  ``solve(tts, scale)`` returns the
+    values of a stack of the other blocks (``scale`` their Frobenius
     norms) and batches ``width`` matrices per element, so it gets stacks
-    whose batches fit ``linalg.STACK_BYTES``.  A zero compression is worth
-    0; one operator gives a float.
+    whose batches fit ``linalg.STACK_BYTES``.  A zero block is worth 0;
+    one block gives a float.
     """
-    tt = semihilbert.compress(ctx, t)
-    tts = tt[None] if tt.ndim == 2 else tt
+    tts = b[None] if b.ndim == 2 else b
     scale = np.linalg.norm(tts, axis=(-2, -1))
-    hermitian = _hermitian_compressions(tts, scale)
+    skew = np.linalg.norm(tts - ctranspose(tts), axis=(-2, -1))
+    hermitian = skew <= _HERMITIAN_SKEW_RTOL * scale
     out = np.zeros(len(tts))
     idx = np.flatnonzero(hermitian & (scale > 0.0))
     for sl in linalg.stack_slices(idx.size, tts[0].nbytes):
@@ -146,7 +136,7 @@ def _evaluate_stack(ctx, t, factor, width, solve):
     idx = np.flatnonzero(~hermitian & (scale > 0.0))
     for sl in linalg.stack_slices(idx.size, width * tts[0].nbytes):
         out[idx[sl]] = solve(tts[idx[sl]], scale[idx[sl]])
-    return float(out[0]) if tt.ndim == 2 else out
+    return float(out[0]) if b.ndim == 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +164,15 @@ def a_norm_seminorm() -> SeminormDescriptor:
 # ---------------------------------------------------------------------------
 # alpha seminorm
 
+#: The alpha ascent's seeded random starts (after its 6 eigenvector starts),
+#: stationarity tolerance (relative to max(1, |B|_F^2)) and sweep cap.
+_ALPHA_RANDOM_STARTS = 26
+_ALPHA_GTOL = 1e-9
+_ALPHA_MAX_ITER = 300
+
 
 def _alpha_objective(tts, y, alpha):
-    """F(y) = alpha |y* T~ y|^2 + (1 - alpha) |T~ y|^2 for unit rows y.
+    """F(y) = alpha |y* B y|^2 + (1 - alpha) |B y|^2 for unit rows y.
 
     ``tts`` is (k, n, n) and ``y`` is (k, s, n): s rows per matrix.
     """
@@ -196,10 +192,10 @@ def _alpha_step(tts, f_mat, q, alpha):
     return np.linalg.eigh(m_batch)[1][..., -1]
 
 
-def _alpha_starts(tts, f_mat, n_random):
+def _alpha_starts(tts, f_mat):
     """Unit start rows per matrix: the extreme eigenvectors of the Hermitian
-    and skew parts of T~ and of T~* T~, then ``n_random`` seeded random rows
-    shared by every matrix."""
+    and skew parts of B and of B* B, then ``_ALPHA_RANDOM_STARTS`` seeded
+    random rows shared by every matrix."""
     k, n = tts.shape[:2]
     _, v = np.linalg.eigh(
         np.concatenate([herm(tts), (tts - ctranspose(tts)) / 2.0j, f_mat])
@@ -207,14 +203,15 @@ def _alpha_starts(tts, f_mat, n_random):
     v = v.reshape(3, k, n, n)
     cols = np.stack([v[m, :, :, c] for m in range(3) for c in (-1, 0)], axis=1)
     rng = np.random.default_rng(0xA1F0)
-    z = rng.standard_normal((n_random, n)) + 1j * rng.standard_normal((n_random, n))
-    starts = np.concatenate([cols, np.broadcast_to(z, (k, n_random, n))], axis=1)
+    shape = (_ALPHA_RANDOM_STARTS, n)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    starts = np.concatenate([cols, np.broadcast_to(z, (k, *shape))], axis=1)
     norms = np.linalg.norm(starts, axis=-1)
     norms[norms == 0] = 1.0
     return starts / norms[..., None]
 
 
-def _alpha_ascent(tts, scale, alpha, n_random, gtol=1e-9, max_iter=300):
+def _alpha_ascent(tts, scale, alpha):
     """Multi-start monotone ascent for the alpha seminorm, lockstep over a stack.
 
     Each sweep replaces the objective by its tangent eigenvalue minorant
@@ -226,12 +223,12 @@ def _alpha_ascent(tts, scale, alpha, n_random, gtol=1e-9, max_iter=300):
     """
     k = len(tts)
     f_mat = ctranspose(tts) @ tts
-    y = _alpha_starts(tts, f_mat, n_random)
+    y = _alpha_starts(tts, f_mat)
     best = np.full(k, -np.inf)
     # the active set, compacted only when a matrix leaves it
     idx, ta, fa, ya = np.arange(k), tts, f_mat, y.copy()
     best_a, stall = best.copy(), np.zeros(k, dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_ALPHA_MAX_ITER):
         vals, q = _alpha_objective(ta, ya, alpha)
         top = vals.max(axis=1)
         stall = np.where(top <= best_a * (1 + 1e-14) + 1e-30, stall + 1, 0)
@@ -257,7 +254,8 @@ def _alpha_ascent(tts, scale, alpha, n_random, gtol=1e-9, max_iter=300):
         np.conj(qk)[:, None] * _matvec(tts, yk) + qk[:, None] * _matvec(ctranspose(tts), yk)
     ) + (1.0 - alpha) * _matvec(f_mat, yk)
     grad -= _vdot(yk, grad)[:, None] * yk
-    polish = np.flatnonzero(np.linalg.norm(grad, axis=1) > gtol * np.maximum(1.0, scale**2))
+    gnorm = np.linalg.norm(grad, axis=1)
+    polish = np.flatnonzero(gnorm > _ALPHA_GTOL * np.maximum(1.0, scale**2))
     if polish.size:
         # rare: polish with a few extra sweeps on the winners alone
         y1 = yk[polish, None]
@@ -271,19 +269,18 @@ def _alpha_ascent(tts, scale, alpha, n_random, gtol=1e-9, max_iter=300):
 def _alpha_eval(ctx, t, alpha):
     """The alpha seminorm of T, or of each matrix of a (k, n, n) stack.
 
-    A Hermitian compression H is worth max|eig(H)| = |H|_2 for every
-    alpha: |y* H y| <= |H y| <= |H|_2 for unit y, with equality at a top
-    eigenvector.  A compression T~ = H + S that passes the Hermitian test
+    On the range block, a Hermitian H is worth max|eig(H)| = |H|_2 for
+    every alpha: |y* H y| <= |H y| <= |H|_2 for unit y, with equality at a
+    top eigenvector.  A block B = H + S that passes the Hermitian test
     with skew part S gets max|eig(H)| = |lambda| too, still a lower
     bound: for the top eigenvector x of H, x* S x is imaginary, so
-    |T~ x| >= |x* T~ x| >= |lambda| and the objective at x is at least
-    lambda^2.  The supremum is at most |T~|_2 <= |H|_2 + |S|_2, so the gap
-    is at most |S|_2.  Every other compression gets the 32-start ascent
+    |B x| >= |x* B x| >= |lambda| and the objective at x is at least
+    lambda^2.  The supremum is at most |B|_2 <= |H|_2 + |S|_2, so the gap
+    is at most |S|_2.  Every other block gets the 32-start ascent
     (6 eigenvector starts and 26 seeded random ones).
     """
-    return _evaluate_stack(
-        ctx, t, 1.0, 32, lambda tts, scale: _alpha_ascent(tts, scale, alpha, 26)
-    )
+    return _evaluate_stack(semihilbert._member_block(ctx, t), 1.0, 6 + _ALPHA_RANDOM_STARTS,
+                           lambda tts, scale: _alpha_ascent(tts, scale, alpha))
 
 
 def a_alpha_seminorm(alpha: float) -> SeminormDescriptor:
@@ -300,18 +297,22 @@ def a_alpha_seminorm(alpha: float) -> SeminormDescriptor:
 # ---------------------------------------------------------------------------
 # Omega seminorm
 
-#: The (t, psi) bracket grid and refinement start count of the
-#: general-argument Omega_A evaluator (see :func:`_big_omega_eval`).
+#: The (t, psi) bracket grid, refinement start count and per-start step cap
+#: of the general-argument Omega_A evaluator (see :func:`_big_omega_eval`).
 OMEGA_T_GRID = 12
 OMEGA_PSI_GRID = 24
 OMEGA_REFINE_STARTS = 8
+_OMEGA_REFINE_MAX_ITER = 500
+#: Start count and per-start sweep cap of :func:`big_omega_pair_form`.
+_PAIR_FORM_STARTS = 24
+_PAIR_FORM_MAX_ITER = 300
 
 
 def _omega_pencil(tts):
-    """Precomputed Hermitian pencil of |B(t, psi)|^2 coefficients, per matrix.
+    """Precomputed Hermitian pencil of |C(t, psi)|^2 coefficients, per matrix.
 
-    B = cos(t) T~ + e^{i psi} sin(t) T~* has
-    B*B = cos^2(t) F + sin^2(t) G + sin(2t) (cos(psi) K1 + sin(psi) K2).
+    C = cos(t) B + e^{i psi} sin(t) B* has
+    C*C = cos^2(t) F + sin^2(t) G + sin(2t) (cos(psi) K1 + sin(psi) K2).
     """
     f_mat = ctranspose(tts) @ tts
     g_mat = tts @ ctranspose(tts)
@@ -320,7 +321,7 @@ def _omega_pencil(tts):
 
 
 def _omega_grid(pencil, ts, psis):
-    """lam_max(B*B) on the (t, psi) grid for each matrix: a (k, grid) array
+    """lam_max(C*C) on the (t, psi) grid for each matrix: a (k, grid) array
     from one batched Hermitian eigenvalue call per ``linalg.STACK_BYTES``
     stack of grid points (k matrices each)."""
     s2t = np.sin(2.0 * ts)
@@ -358,20 +359,20 @@ def _pick_starts(order, n_psi, count):
     return picked
 
 
-def _omega_refine(tts, u, v, max_iter=500):
-    """Block-coordinate ascent on |v* (alpha T~ + beta T~*) u|, per start.
+def _omega_refine(tts, u, v):
+    """Block-coordinate ascent on |v* (alpha B + beta B*) u|, per start.
 
     Row p of ``u`` and ``v`` starts an ascent on matrix p of ``tts``; all
     run in lockstep.  Each alternates the closed-form optimal coefficient
     pair (Cauchy-Schwarz) with the optimal singular pair of the resulting
     combination; the value is nondecreasing, so it converges and every
     iterate is feasible.  A start stops at its first step without relative
-    gain above 1e-14, or after ``max_iter`` steps.
+    gain above 1e-14, or after ``_OMEGA_REFINE_MAX_ITER`` steps.
     """
     out = np.zeros(len(tts))
     # the active set, compacted only when a start stops
     idx, tta, best = np.arange(len(tts)), ctranspose(tts), np.zeros(len(tts))
-    for _ in range(max_iter):
+    for _ in range(_OMEGA_REFINE_MAX_ITER):
         z1 = _vdot(v, _matvec(tts, u))
         z2 = _vdot(v, _matvec(tta, u))
         r = np.hypot(np.abs(z1), np.abs(z2))
@@ -395,7 +396,7 @@ def _omega_refine(tts, u, v, max_iter=500):
 
 
 def _omega_solve(tts, t_grid, psi_grid, refine_starts):
-    """Omega_A of each compression in a stack: grid bracket, then refinement."""
+    """Omega_A of each range block in a stack: grid bracket, then refinement."""
     ts = np.linspace(0.0, math.pi / 2.0, t_grid)
     psis = np.linspace(0.0, 2.0 * math.pi, psi_grid, endpoint=False)
     vals = _omega_grid(_omega_pencil(tts), ts, psis)
@@ -417,8 +418,8 @@ def _omega_solve(tts, t_grid, psi_grid, refine_starts):
 
 
 def _big_omega_eval(ctx, t):
-    """Omega_A: closed form on Hermitian compressions, otherwise grid
-    bracketing plus block-coordinate refinement.
+    """Omega_A from the range block B: closed form on Hermitian blocks,
+    otherwise grid bracketing plus block-coordinate refinement.
 
     ``t`` is one operator (a float is returned) or a (k, n, n) stack (k
     values); the matrices of a stack share each batched kernel call.
@@ -426,7 +427,7 @@ def _big_omega_eval(ctx, t):
     homogeneity, leaving alpha = cos(t) >= 0 and beta = e^{i psi} sin(t)
     on t in [0, pi/2], psi in [0, 2 pi).  The grid only chooses where the
     refinement starts; the default 12 x 24 grid is 288 matrices per
-    compression, in batched eigenvalue calls of at most
+    block, in batched eigenvalue calls of at most
     ``linalg.STACK_BYTES``.  Why the coarse default is sound:
 
     * every returned value is lam_max at a grid point or an iterate of
@@ -438,21 +439,20 @@ def _big_omega_eval(ctx, t):
     * :func:`big_omega_pair_form` stays the independent cross-check
       (catalog check C26 and the cross-oracle acceptance criterion).
 
-    A Hermitian compression H (an A-selfadjoint argument) skips the grid
+    A Hermitian block H (an A-selfadjoint argument) skips the grid
     and the refinement: alpha H + beta H* = (alpha + beta) H, so Omega_A
     is sqrt(2) max|eig(H)|, attained at (alpha, beta) = (1/sqrt2, 1/sqrt2).
-    A compression T~ = H + S that passes the Hermitian test with skew part
-    S gets the same value, |T~/sqrt2 + T~*/sqrt2|_2 at that feasible
-    point.  Writing alpha T~ + beta T~* = sqrt(2) (a H + b S) with
+    A block B = H + S that passes the Hermitian test with skew part
+    S gets the same value, |B/sqrt2 + B*/sqrt2|_2 at that feasible
+    point.  Writing alpha B + beta B* = sqrt(2) (a H + b S) with
     a = (alpha + beta)/sqrt2, b = (alpha - beta)/sqrt2 and
     |a|^2 + |b|^2 = 1, the supremum is at most
     sqrt(2) sqrt(|H|_2^2 + |S|_2^2), so the gap is at most
     |S|_2^2 / (sqrt(2) |H|_2).
     """
     grid = (OMEGA_T_GRID, OMEGA_PSI_GRID, OMEGA_REFINE_STARTS)
-    return _evaluate_stack(
-        ctx, t, math.sqrt(2.0), grid[0] * grid[1], lambda tts, scale: _omega_solve(tts, *grid)
-    )
+    return _evaluate_stack(semihilbert._member_block(ctx, t), math.sqrt(2.0),
+                           grid[0] * grid[1], lambda tts, scale: _omega_solve(tts, *grid))
 
 
 def big_omega_seminorm() -> SeminormDescriptor:
@@ -464,14 +464,14 @@ def big_omega_seminorm() -> SeminormDescriptor:
     )
 
 
-def big_omega_pair_form(ctx, t, n_starts: int = 24, max_iter: int = 300) -> float:
+def big_omega_pair_form(ctx, t) -> float:
     """Independent oracle for Omega_A through the pair supremum
 
     sup sqrt(|<Tx, y>_A|^2 + |<T# x, y>_A|^2) over A-unit x, y,
 
-    evaluated in compressed coordinates by alternating the two closed-form
+    evaluated on the n x n compression by alternating the two closed-form
     partial maximizations (each is a top eigenvector of a rank-2 Hermitian
-    form).  Shares no code path with the grid evaluator.
+    form).  Shares no code path with the range-block evaluator.
     """
     tt = semihilbert.compress(ctx, t)
     n = tt.shape[0]
@@ -488,14 +488,14 @@ def big_omega_pair_form(ctx, t, n_starts: int = 24, max_iter: int = 300) -> floa
     best = 0.0
     w_mat, _, vh = np.linalg.svd(tt)
     seeds = [(vh[0].conj(), w_mat[:, 0])]
-    for _ in range(n_starts - 1):
+    for _ in range(_PAIR_FORM_STARTS - 1):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         seeds.append((u / np.linalg.norm(u), v / np.linalg.norm(v)))
 
     for u, v in seeds:
         prev = -1.0
-        for _ in range(max_iter):
+        for _ in range(_PAIR_FORM_MAX_ITER):
             v = top_vec(tt @ u, tta @ u)
             u = top_vec(tta @ v, tt @ v)
             r = math.hypot(abs(np.vdot(v, tt @ u)), abs(np.vdot(v, tta @ u)))
@@ -510,15 +510,13 @@ def gamma_a(ctx, t) -> float:
     """min of sqrt(|T T# + T# T|_A) and sqrt(|T|_A^2 + omega_A(T^2)).
 
     Both branches are upper bounds for Omega_A; their minimum sits between
-    Omega_A(T) and sqrt(2) |T|_A.
+    Omega_A(T) and sqrt(2) |T|_A.  Computed from the range block B of T:
+    the blocks of T T# + T# T and T^2 are B B* + B* B and B^2.
     """
-    t = semihilbert.require_member(ctx, t)
-    ts = semihilbert._adjoint_of_member(ctx, t)
-    branch1 = math.sqrt(semihilbert.a_operator_norm(ctx, ts @ t + t @ ts))
-    branch2 = math.sqrt(
-        semihilbert.a_operator_norm(ctx, t) ** 2
-        + radius.omega_a_fast(ctx, t @ t)
-    )
+    b = semihilbert._member_block(ctx, t)
+    bh = b.conj().T
+    branch1 = math.sqrt(linalg._spectral_norm(b @ bh + bh @ b))
+    branch2 = math.sqrt(linalg._spectral_norm(b) ** 2 + radius._level_set_radius(b @ b))
     return min(branch1, branch2)
 
 

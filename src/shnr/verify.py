@@ -462,6 +462,7 @@ def _eval_c09(ctx, mats, n_desc):
 
 
 def _eval_c10(ctx, mats, n_desc):
+    # also C25, the same identity on A-normal T under Omega_A
     t = mats["T"]
     return InstanceOutcome([(_w(ctx, n_desc, t), n_desc.evaluate(ctx, t))])
 
@@ -599,11 +600,6 @@ def _eval_c23(ctx, mats, n_desc):
 def _eval_c24(ctx, mats, n_desc):
     t = mats["T"]
     return InstanceOutcome([(_w(ctx, n_desc, t), _SQRT2 * radius.omega_a_fast(ctx, t))])
-
-
-def _eval_c25(ctx, mats, n_desc):
-    t = mats["T"]
-    return InstanceOutcome([(_w(ctx, n_desc, t), n_desc.evaluate(ctx, t))])
 
 
 def _eval_c26(ctx, mats, n_desc):
@@ -856,7 +852,7 @@ def catalog() -> list:
         CheckSpec(
             "C25",
             "w under Omega_A equals Omega_A for A-normal T",
-            "equality", sa, ("big_omega",), "a_normal", _eval_c25,
+            "equality", sa, ("big_omega",), "a_normal", _eval_c10,
         ),
         CheckSpec(
             "C26",

@@ -74,3 +74,35 @@ def test_range_of_a_has_one_owner(path):
     # only semihilbert splits A's eigenbasis into range and kernel; other
     # modules go through its primitives, and may read ctx.proj
     assert _range_representation_uses(path) == []
+
+
+def _compress_calls(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "compress":
+                found.append((owner, f"{path.name}:{node.lineno} in {owner}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "semihilbert.py"],
+    ids=lambda p: p.name,
+)
+def test_seminorms_compute_on_the_range_block(path):
+    # the built-in seminorms and gamma_A take the r x r range block from
+    # semihilbert._member_block; the n x n compression is left to the
+    # pair-form oracle, so the oracle and the solvers it checks do not share
+    # a representation
+    allowed = {"big_omega_pair_form"} if path.name == "seminorms.py" else set()
+    assert [where for owner, where in _compress_calls(path) if owner not in allowed] == []

@@ -12,11 +12,14 @@ from shnr import (
     NotPositiveError,
     ZeroOperatorError,
     a_adjoint,
+    a_alpha_seminorm,
     a_inner,
     a_norm_vec,
     a_operator_norm,
+    big_omega_seminorm,
     build_context,
     compress,
+    gamma_a,
     im_a,
     is_a_normal,
     is_a_positive,
@@ -121,6 +124,19 @@ class TestRangeBlockEquivalence:
         assert abs(membership_residual(ctx, t) - ref["residual"]) <= bound * a_n * t_n
         assert abs(a_operator_norm(ctx, t) - ref["a_norm"]) <= bound * tt_n
         assert abs(omega_a(ctx, t) - eigenvalue_sweep(ref["compress"], 720)) <= bound * tt_n
+        # gamma_A by its definition on T~, and the closed forms of Omega_A
+        # and the alpha seminorm on the A-real part, whose compression is herm(T~)
+        tt = ref["compress"]
+        tth = tt.conj().T
+        want = min(
+            np.sqrt(spectral_norm(tt @ tth + tth @ tt)),
+            np.sqrt(spectral_norm(tt) ** 2 + eigenvalue_sweep(tt @ tt, 720)),
+        )
+        assert abs(gamma_a(ctx, t) - want) <= bound * tt_n
+        s = re_a(ctx, t)
+        h_n = spectral_norm((tt + tth) / 2.0)
+        assert abs(big_omega_seminorm().evaluate(ctx, s) - np.sqrt(2.0) * h_n) <= bound * tt_n
+        assert abs(a_alpha_seminorm(0.5).evaluate(ctx, s) - h_n) <= bound * tt_n
 
 
 class TestAInner:
@@ -236,8 +252,13 @@ class TestReIm:
 class TestValidateOnce:
     """Each public call checks membership once (two SVDs), not once per layer."""
 
-    @pytest.mark.parametrize("fn", [a_adjoint, re_a, im_a, is_a_normal],
-                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "fn",
+        [a_adjoint, re_a, im_a, is_a_normal, a_operator_norm, omega_a, gamma_a,
+         pytest.param(big_omega_seminorm().evaluate, id="big_omega"),
+         pytest.param(a_alpha_seminorm(0.5).evaluate, id="a_alpha[0.5]")],
+        ids=lambda f: f.__name__,
+    )
     def test_one_membership_check_per_call(self, fn, monkeypatch):
         calls = []
         original = shnr.semihilbert._member_verdict

@@ -292,7 +292,7 @@ class TestHermitianClosedForm:
         tts = compress(ctx, stack)
         scale = np.linalg.norm(tts, axis=(-2, -1))
         for alpha in (0.0, 0.5, 1.0):
-            want = _alpha_ascent(tts, scale, alpha, 26)
+            want = _alpha_ascent(tts, scale, alpha)
             got = a_alpha_seminorm(alpha).evaluate(ctx, stack)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
