@@ -37,7 +37,6 @@ from . import radius, semihilbert, seminorms, serialize, verify
 from .exceptions import (
     AlphaOutOfRangeError,
     DimensionMismatchError,
-    NonSquareError,
     NotHermitianError,
     NotMemberError,
     NotPositiveError,
@@ -161,7 +160,7 @@ def cmd_check(args) -> int:
     rtol = _env_rtol()
     dims = _parse_int_list(args.dims, "--dims")
     ranks = tuple(tok for tok in args.ranks.split(",") if tok)
-    only = tuple(tok for tok in args.only.split(",") if tok) if args.only else None
+    only = None if args.only is None else tuple(tok for tok in args.only.split(",") if tok)
     try:
         cfg = verify.InstanceGenConfig(
             dims=dims,
@@ -259,9 +258,6 @@ def main(argv=None) -> int:
     except (NotHermitianError, NotPositiveError, ZeroOperatorError) as exc:
         print(f"error: bad inducing matrix: {exc}", file=sys.stderr)
         return EXIT_BAD_A
-    except (DimensionMismatchError, NonSquareError, AlphaOutOfRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ShnrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,10 +18,11 @@ supremum within that grid bound, whatever the refinement does.
 
 Every objective is batched: ``sup_on_circle`` hands it a 1-D array of
 angles and takes an array of values back, the whole grid in one call and
-each refinement step as a one-angle array.  The generic objective builds
-the A-real parts cos(theta) Re_A T - sin(theta) Im_A T as (k, n, n) stacks
-of at most ``linalg.STACK_BYTES`` and makes one ``N.evaluate`` call per
-stack (the stack contract of :class:`~shnr.seminorms.SeminormDescriptor`).
+each refinement step as a one-angle array.  The generic objective,
+:func:`_profile`, builds the A-real parts cos(theta) Re_A T - sin(theta)
+Im_A T as (k, n, n) stacks of at most ``linalg.STACK_BYTES`` with one
+``N.evaluate`` call per stack (the stack contract of
+:class:`~shnr.seminorms.SeminormDescriptor`); the catalog's sweeps share it.
 
 For the A-operator seminorm the radius is omega_A(T), the classical
 numerical radius of the compression T~, and no angle grid is needed: the
@@ -133,11 +134,14 @@ def _brent_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: float)
     return x, fx
 
 
-def sup_on_circle(f, period: float, grid_points: int):
-    """Maximize a periodic function: uniform grid, then refine best bracket.
+def sup_on_circle(f, grid_points: int):
+    """Maximize a function of period pi: uniform grid, then refine best bracket.
 
-    ``f`` maps a 1-D array of angles to the array of its values.  The grid
-    of ``grid_points`` angles (at least 8) is one call of ``f``; Brent's
+    The period is always pi: every objective here is a seminorm of the
+    A-real or A-imaginary parts of e^{i theta} T, or a function of such
+    values, and theta + pi only flips their sign.  ``f`` maps a 1-D array
+    of angles in [0, pi) to the array of its values.  The grid of
+    ``grid_points`` angles (at least 8) is one call of ``f``; Brent's
     method (:func:`_brent_max`) then refines the bracket of two grid steps
     around the best angle, starting from the three grid values there, and
     calls ``f`` on a one-angle array at each step, at most
@@ -147,24 +151,35 @@ def sup_on_circle(f, period: float, grid_points: int):
     it is.
     """
     _require_grid(grid_points)
-    thetas = np.linspace(0.0, period, grid_points, endpoint=False)
+    thetas = np.linspace(0.0, math.pi, grid_points, endpoint=False)
     vals = np.asarray(f(thetas), dtype=float)
     k = int(np.argmax(vals))
-    h = period / grid_points
+    h = math.pi / grid_points
 
     def f_one(x):
-        return float(f(np.array([x % period]))[0])
+        return float(f(np.array([x % math.pi]))[0])
 
     x_ref, f_ref = _brent_max(
         f_one, thetas[k] - h, float(thetas[k]), thetas[k] + h,
         float(vals[k - 1]), float(vals[k]), float(vals[(k + 1) % grid_points]),
     )
-    return x_ref % period, f_ref
+    return x_ref % math.pi, f_ref
 
 
 def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     # Re_A(e^{i theta} T) = cos(theta) Re_A(T) - sin(theta) Im_A(T), one per theta
     return np.cos(thetas)[:, None, None] * r0 - np.sin(thetas)[:, None, None] * i0
+
+
+def _profile(ctx, seminorm, r0, i0, thetas):
+    """N(cos(theta) r0 - sin(theta) i0) at each of a 1-D array of angles,
+    one ``seminorm.evaluate`` call per ``linalg.STACK_BYTES`` stack: the
+    profile of N(Re_A(e^{i theta} T)) for (r0, i0) = (Re_A T, Im_A T), and
+    of N(Im_A(e^{i theta} T)) for (Im_A T, -Re_A T)."""
+    return np.concatenate([
+        seminorm.evaluate(ctx, _theta_combos(r0, i0, thetas[sl]))
+        for sl in linalg.stack_slices(thetas.size, r0.nbytes)
+    ])
 
 
 def omega_a_fast(ctx, t) -> float:
@@ -311,13 +326,9 @@ def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
     r0 = (t + adj) / 2.0
     i0 = (t - adj) / 2.0j
     if not a_norm:
-        def f(thetas):
-            return np.concatenate([
-                seminorm.evaluate(ctx, _theta_combos(r0, i0, thetas[sl]))
-                for sl in linalg.stack_slices(thetas.size, r0.nbytes)
-            ])
-
-        _, val = sup_on_circle(f, math.pi, grid_points)
+        _, val = sup_on_circle(
+            lambda thetas: _profile(ctx, seminorm, r0, i0, thetas), grid_points
+        )
         if not with_error_bound:
             return val
     lip = float(np.sum(seminorm.evaluate(ctx, np.stack([r0, i0]))))

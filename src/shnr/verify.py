@@ -255,7 +255,7 @@ class CheckSpec:
     kind: str                        # inequality | equality | conditional
     required_flags: frozenset
     seminorm_ids: tuple
-    generator: str
+    generator: Callable              # (n, profile, rng, rtol, idx) -> (ctx, mats)
     evaluator: Callable
     max_instances: Optional[int] = None
 
@@ -274,9 +274,6 @@ class CheckResult:
     min_slack: Optional[float] = None
     worst_witness: Optional[dict] = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class InstanceGenConfig:
@@ -292,6 +289,8 @@ class InstanceGenConfig:
     def __post_init__(self):
         if not self.dims or min(self.dims) < 2:
             raise ValueError("dims must all be at least 2")
+        if not self.rank_profiles:
+            raise ValueError("rank_profiles must name at least one profile")
         if self.instances_per_check < 1:
             raise ValueError("instances_per_check must be at least 1")
         # the negated test also rejects nan
@@ -356,15 +355,6 @@ def _adjoint_parts(ctx, t):
     return c, (t + c) / 2.0, (t - c) / 2.0j
 
 
-def _angle_profile(ctx, n_desc, r0, i0, thetas):
-    """N(Re_A(e^{i th} T)) and N(Im_A(e^{i th} T)) for a 1-D array of
-    angles, one stacked ``evaluate`` call per form."""
-    return (
-        n_desc.evaluate(ctx, radius._theta_combos(r0, i0, thetas)),
-        n_desc.evaluate(ctx, radius._theta_combos(i0, -r0, thetas)),
-    )
-
-
 def _eval_c01(ctx, mats, n_desc):
     t = mats["T"]
     w = _w(ctx, n_desc, t)
@@ -381,15 +371,18 @@ def _eval_c02(ctx, mats, n_desc):
     _, r0, i0 = _adjoint_parts(ctx, t)
 
     def gap(thetas):
-        re_vals, im_vals = _angle_profile(ctx, n_desc, r0, i0, thetas)
-        return np.abs(re_vals - im_vals)
+        return np.abs(
+            radius._profile(ctx, n_desc, r0, i0, thetas)
+            - radius._profile(ctx, n_desc, i0, -r0, thetas)
+        )
 
-    _, sup_gap = radius.sup_on_circle(gap, math.pi, _SWEEP_GRID)
+    _, sup_gap = radius.sup_on_circle(gap, _SWEEP_GRID)
     lhs = n_desc.evaluate(ctx, t) / 2 + sup_gap / 2
     return InstanceOutcome([(lhs, w)])
 
 
 def _eval_c03(ctx, mats, n_desc):
+    # also C17, the same bounds under the A-norm on sharpness constructions
     t = mats["T"]
     w = _w(ctx, n_desc, t)
     nt = n_desc.evaluate(ctx, t)
@@ -437,9 +430,12 @@ def _eval_c07(ctx, mats, n_desc):
     rhs_plain = math.hypot(n_desc.evaluate(ctx, r0), n_desc.evaluate(ctx, i0))
 
     def euclid(thetas):
-        return -np.hypot(*_angle_profile(ctx, n_desc, r0, i0, thetas))
+        return -np.hypot(
+            radius._profile(ctx, n_desc, r0, i0, thetas),
+            radius._profile(ctx, n_desc, i0, -r0, thetas),
+        )
 
-    _, neg_inf = radius.sup_on_circle(euclid, math.pi, _SWEEP_GRID)
+    _, neg_inf = radius.sup_on_circle(euclid, _SWEEP_GRID)
     return InstanceOutcome([(w, rhs_plain), (w, -neg_inf)])
 
 
@@ -542,13 +538,6 @@ def _eval_c16(ctx, mats, n_desc):
     )
 
 
-def _eval_c17(ctx, mats, n_desc):
-    t = mats["T"]
-    na = a_operator_norm(ctx, t)
-    wa = radius.omega_a_fast(ctx, t)
-    return InstanceOutcome([(na / 2, wa), (wa, na)])
-
-
 def _eval_c18(ctx, mats, n_desc):
     t = mats["T"]
     c = a_adjoint(ctx, t)
@@ -628,19 +617,20 @@ def _eval_c27(ctx, mats, n_desc):
     pairs = []
     if held:
         thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
-        re_vals, im_vals = _angle_profile(ctx, n_desc, r0, i0, thetas)
+        re_vals = radius._profile(ctx, n_desc, r0, i0, thetas)
+        im_vals = radius._profile(ctx, n_desc, i0, -r0, thetas)
         per_angle = np.stack([re_vals, im_vals], axis=1).ravel()  # Re, Im per angle
         for bound, premise in ((nt / 2, flat), (target, quadratic)):
             if premise:
                 pairs.extend((v, bound) for v in per_angle)
         if n_desc.base_id == "big_omega" and flat:
-            re_norms = a_operator_norm(ctx, radius._theta_combos(r0, i0, thetas))
+            re_norms = radius._profile(ctx, seminorms.a_norm_seminorm(), r0, i0, thetas)
             pairs.extend((nt, 2 * _SQRT2 * v) for v in re_norms)
     return InstanceOutcome(pairs, premise_held=held)
 
 
 # ---------------------------------------------------------------------------
-# generators keyed by name
+# instance generators: (n, profile, rng, rtol, idx) -> (ctx, mats)
 
 
 def _make_ctx(n, profile, rng, rtol):
@@ -697,23 +687,6 @@ def _gen_pinned_remark(n, profile, rng, rtol, idx):
     return ctx, {"T": _REMARK_T.copy()}
 
 
-_GENERATORS = {
-    "member": _gen(T=_member),
-    "member_pair": _gen(T=_member, S=_member),
-    "member_triple": _gen(T=_member, S=_member, X=_member),
-    "member_tx": _gen(T=_member, X=_member),
-    "vectors": _gen(a=_unit_vector, b=_unit_vector, c=_unit_vector),
-    "a_selfadjoint": _gen(
-        T=lambda ctx, rng: random_a_selfadjoint(ctx, rng=rng, unit_norm=True)
-    ),
-    "a_normal": _gen(T=_a_normal),
-    "member_with_unitary": _gen(T=_member, U=lambda ctx, rng: random_a_unitary(ctx, rng=rng)),
-    "sharp_mix": _gen_sharp_mix,
-    "nilpotent_mix": _gen_nilpotent_mix,
-    "pinned_remark": _gen_pinned_remark,
-}
-
-
 # ---------------------------------------------------------------------------
 # the catalog
 
@@ -725,145 +698,154 @@ def catalog() -> list:
     sub = frozenset({"submultiplicative"})
     sa_sub = frozenset({"selfadjoint_invariant", "submultiplicative"})
     inc_pow = frozenset({"a_increasing", "power_property"})
+    member = _gen(T=_member)
+    pair = _gen(T=_member, S=_member)
+    a_selfadjoint = _gen(
+        T=lambda ctx, rng: random_a_selfadjoint(ctx, rng=rng, unit_norm=True)
+    )
 
     specs = [
         CheckSpec(
             "C01",
             "w_N(T) >= N(T)/2 + |N(Re_A(T)) - N(Im_A(T))|/2",
-            "inequality", no_flags, ("a_norm",), "member", _eval_c01,
+            "inequality", no_flags, ("a_norm",), member, _eval_c01,
         ),
         CheckSpec(
             "C02",
             "w_N(T) >= N(T)/2 + sup_th |N(Re_A(e^{i th}T)) - N(Im_A(e^{i th}T))|/2",
-            "inequality", no_flags, ("a_norm",), "member", _eval_c02,
+            "inequality", no_flags, ("a_norm",), member, _eval_c02,
         ),
         CheckSpec(
             "C03",
             "N(T)/2 <= w_N(T) <= N(T), upper half for selfadjoint-invariant N",
-            "inequality", sa, ("a_norm", "big_omega"), "member", _eval_c03,
+            "inequality", sa, ("a_norm", "big_omega"), member, _eval_c03,
         ),
         CheckSpec(
             "C04",
             "w_N(T) = w_N(T#); and w_N(U# T U) = w_N(T) for A-unitary U under the A-norm",
-            "equality", sa, ("a_norm", "big_omega"), "member_with_unitary",
+            "equality", sa, ("a_norm", "big_omega"),
+            _gen(T=_member, U=lambda ctx, rng: random_a_unitary(ctx, rng=rng)),
             _eval_c04,
         ),
         CheckSpec(
             "C05",
             "w_N(T) >= sqrt(N(T#T + TT#)/4 + |N^2(Re_A T) - N^2(Im_A T)|/2)",
-            "inequality", sub, ("a_norm",), "member", _eval_c05,
+            "inequality", sub, ("a_norm",), member, _eval_c05,
         ),
         CheckSpec(
             "C06",
             "sqrt(N(T#T + TT#))/2 <= w_N(T) <= sqrt(N(T#T + TT#)/2)",
-            "inequality", sub | inc_pow, ("a_norm",), "member", _eval_c06,
+            "inequality", sub | inc_pow, ("a_norm",), member, _eval_c06,
         ),
         CheckSpec(
             "C07",
             "w_N(T) <= inf_th sqrt(N^2(Re_A(e^{i th}T)) + N^2(Im_A(e^{i th}T)))",
-            "inequality", no_flags, ("a_norm",), "member", _eval_c07,
+            "inequality", no_flags, ("a_norm",), member, _eval_c07,
         ),
         CheckSpec(
             "C08",
             "w_N(T) <= sqrt(w_N(T^2)/2 + N(T#T + TT#)/4)",
             "inequality", frozenset({"power_property"}), ("a_norm",),
-            "member", _eval_c08,
+            member, _eval_c08,
         ),
         CheckSpec(
             "C09",
             "w_N(T) <= (N^2(T#T + TT#)/8 + w_N^2(T^2)/2)^(1/4)",
-            "inequality", inc_pow, ("a_norm",), "member", _eval_c09,
+            "inequality", inc_pow, ("a_norm",), member, _eval_c09,
         ),
         CheckSpec(
             "C10",
             "w_N(T) = N(T) for A-selfadjoint T",
-            "equality", sa, ("a_norm", "big_omega"), "a_selfadjoint", _eval_c10,
+            "equality", sa, ("a_norm", "big_omega"), a_selfadjoint, _eval_c10,
         ),
         CheckSpec(
             "C11",
             "w_N(T) = w_N(P T) = w_N(T P) for the range projector P",
-            "equality", sa, ("a_norm",), "member", _eval_c11,
+            "equality", sa, ("a_norm",), member, _eval_c11,
         ),
         CheckSpec(
             "C12",
             "w_N(TS) <= N(T) w_N(S) + w_N(TS +- S T#)/2 and the mirrored form",
-            "inequality", sa_sub, ("a_norm",), "member_pair", _eval_c12,
+            "inequality", sa_sub, ("a_norm",), pair, _eval_c12,
         ),
         CheckSpec(
             "C13",
             "w_N(TS +- S T#) <= 2 N(T) w_N(S)",
-            "inequality", sa_sub, ("a_norm",), "member_pair", _eval_c13,
+            "inequality", sa_sub, ("a_norm",), pair, _eval_c13,
         ),
         CheckSpec(
             "C14",
             "w_N(TS) <= 2 min(w_N(T) N(S), w_N(S) N(T)) <= 4 w_N(T) w_N(S)",
-            "inequality", sa_sub, ("a_norm",), "member_pair", _eval_c14,
+            "inequality", sa_sub, ("a_norm",), pair, _eval_c14,
         ),
         CheckSpec(
             "C15",
             "w_N(T X S +- S# X T#) <= 2 N(T) N(S) w_N(X)",
-            "inequality", sa_sub, ("a_norm",), "member_triple", _eval_c15,
+            "inequality", sa_sub, ("a_norm",), _gen(T=_member, S=_member, X=_member),
+            _eval_c15,
         ),
         CheckSpec(
             "C16",
             "w_N(T X T#) <= N^2(T) w_N(X) and w_N(T# X T) <= N^2(T) w_N(X)",
-            "inequality", sa_sub, ("a_norm",), "member_tx", _eval_c16,
+            "inequality", sa_sub, ("a_norm",), _gen(T=_member, X=_member),
+            _eval_c16,
         ),
         CheckSpec(
             "C17",
             "|T|_A / 2 <= w_A(T) <= |T|_A with sharpness constructions mixed in",
-            "inequality", no_flags, ("a_norm",), "sharp_mix", _eval_c17,
+            "inequality", no_flags, ("a_norm",), _gen_sharp_mix, _eval_c03,
         ),
         CheckSpec(
             "C18",
             "|T# T|_A = |T T#|_A = |T|_A^2",
-            "equality", no_flags, ("a_norm",), "member", _eval_c18,
+            "equality", no_flags, ("a_norm",), member, _eval_c18,
         ),
         CheckSpec(
             "C19",
             "|<a,c>_A|^2 + |<b,c>_A|^2 <= |c|_A^2 (max(|a|_A^2, |b|_A^2) + |<a,b>_A|)",
-            "inequality", no_flags, ("a_norm",), "vectors", _eval_c19,
+            "inequality", no_flags, ("a_norm",),
+            _gen(a=_unit_vector, b=_unit_vector, c=_unit_vector), _eval_c19,
         ),
         CheckSpec(
             "C20",
             "|Re_A(T)|_{A,alpha} = |Re_A(T)|_A",
-            "equality", no_flags, ("a_alpha",), "member", _eval_c20,
+            "equality", no_flags, ("a_alpha",), member, _eval_c20,
         ),
         CheckSpec(
             "C21",
             "w under |.|_{A,alpha} equals w_A",
-            "equality", no_flags, ("a_alpha",), "member", _eval_c21,
+            "equality", no_flags, ("a_alpha",), member, _eval_c21,
         ),
         CheckSpec(
             "C22",
             "|T|_A <= Omega_A(T) <= gamma_A(T) <= sqrt(2) |T|_A",
-            "inequality", no_flags, ("big_omega",), "member", _eval_c22,
+            "inequality", no_flags, ("big_omega",), member, _eval_c22,
         ),
         CheckSpec(
             "C23",
             "Omega_A(T) = sqrt(2) |T|_A for A-selfadjoint T",
-            "equality", sa, ("big_omega",), "a_selfadjoint", _eval_c23,
+            "equality", sa, ("big_omega",), a_selfadjoint, _eval_c23,
         ),
         CheckSpec(
             "C24",
             "w under Omega_A equals sqrt(2) w_A",
-            "equality", sa, ("big_omega",), "member", _eval_c24,
+            "equality", sa, ("big_omega",), member, _eval_c24,
         ),
         CheckSpec(
             "C25",
             "w under Omega_A equals Omega_A for A-normal T",
-            "equality", sa, ("big_omega",), "a_normal", _eval_c10,
+            "equality", sa, ("big_omega",), _gen(T=_a_normal), _eval_c10,
         ),
         CheckSpec(
             "C26",
             "pinned 3x3 instance: Omega = w_Omega = 2 sqrt(2), via grid and pair forms",
-            "equality", sa, ("big_omega",), "pinned_remark", _eval_c26,
+            "equality", sa, ("big_omega",), _gen_pinned_remark, _eval_c26,
             max_instances=1,
         ),
         CheckSpec(
             "C27",
             "attainment equivalences: when w_N hits a lower bound, the angle profile is flat",
-            "conditional", no_flags, ("a_norm", "big_omega"), "nilpotent_mix",
+            "conditional", no_flags, ("a_norm", "big_omega"), _gen_nilpotent_mix,
             _eval_c27,
         ),
     ]
@@ -910,7 +892,7 @@ def _run_one_instance(spec, cfg, grid, sems, idx):
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, int(spec.id[1:]), idx])
     )
-    ctx, mats = _GENERATORS[spec.generator](dim, profile, rng, cfg.rtol, idx)
+    ctx, mats = spec.generator(dim, profile, rng, cfg.rtol, idx)
     outcome = spec.evaluator(ctx, mats, n_desc)
     return dim, profile, n_desc, ctx, mats, outcome
 
@@ -925,11 +907,17 @@ def run_suite(
 
     Deterministic for a fixed config: per-instance seeds derive from
     (seed, check number, instance index), aggregation is index-ordered, so
-    the report bytes do not depend on ``threads``.
+    the report bytes do not depend on ``threads``.  Raises ``ValueError``
+    for ``threads`` below 1 or an ``only`` that is given but names no
+    check, and ``KeyError`` for an unknown check id.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     specs = catalog()
-    if only:
+    if only is not None:
         wanted = set(only)
+        if not wanted:
+            raise ValueError("only names no check")
         unknown = wanted - {s.id for s in specs}
         if unknown:
             raise KeyError(f"unknown check ids: {sorted(unknown)}")
@@ -987,20 +975,12 @@ def run_suite(
                 res.max_violation = max(res.max_violation, -s_min)
         results.append(res)
 
-    config_echo = {
-        "seed": cfg.seed,
-        "dims": list(cfg.dims),
-        "rank_profiles": list(cfg.rank_profiles),
-        "instances_per_check": cfg.instances_per_check,
-        "tol_rel": cfg.tol_rel,
-        "rtol": cfg.rtol,
-        **_GRIDS,
-        "alphas": list(alphas),
-        "only": sorted(only) if only else None,
-    }
     return SuiteReport(
         version=__version__,
-        config=config_echo,
+        config={
+            **asdict(cfg), **_GRIDS,
+            "alphas": list(alphas), "only": sorted(only) if only else None,
+        },
         checks=results,
         violations_total=sum(r.violations for r in results),
         incomplete_total=sum(r.incomplete for r in results),

@@ -45,7 +45,8 @@ def ctx_grid(seed: int = 0):
     return out
 
 
-def refine_step_cap(grid_points: int, period: float = math.pi) -> int:
+def refine_step_cap(grid_points: int) -> int:
     """Most one-angle objective calls ``radius.sup_on_circle`` makes after
-    its grid: ``radius._step_cap`` of the bracket of two grid steps."""
-    return radius._step_cap(2.0 * period / grid_points)
+    its grid on [0, pi): ``radius._step_cap`` of the bracket of two grid
+    steps."""
+    return radius._step_cap(2.0 * math.pi / grid_points)

@@ -193,7 +193,7 @@ def per_angle_radius(ctx, seminorm, t, grid_points: int = 720) -> float:
             for theta in thetas
         ])
 
-    _, val = sup_on_circle(f, math.pi, grid_points)
+    _, val = sup_on_circle(f, grid_points)
     return val
 
 

@@ -356,6 +356,20 @@ class TestCheck:
         assert main(["check", "--dims", "1", "--out", "nowhere.json"]) == 2
         assert main(["check", "--only", "C99", "--out", "nowhere.json"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--ranks", ","],
+        ["--only", ","],
+        ["--only", ""],
+        ["--threads", "0"],
+        ["--threads", "-1"],
+    ])
+    def test_empty_lists_and_no_threads_exit_2(self, files, capsys, flags):
+        out = files["tmp"] / "r.json"
+        argv = ["check", "--instances", "1", "--out", str(out)] + flags
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exit_2(self, files, capsys, tol):
         # with tol nan or inf no slack could ever count as a violation

@@ -106,3 +106,24 @@ def test_seminorms_compute_on_the_range_block(path):
     # a representation
     allowed = {"big_omega_pair_form"} if path.name == "seminorms.py" else set()
     assert [where for owner, where in _compress_calls(path) if owner not in allowed] == []
+
+
+def _theta_combos_calls(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute)
+             else getattr(node.func, "id", None)) == "_theta_combos"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "radius.py"],
+    ids=lambda p: p.name,
+)
+def test_angle_profile_has_one_home(path):
+    # the combinations cos(theta) Re_A T - sin(theta) Im_A T are built in
+    # radius alone: the engine and the catalog's sweeps share radius._profile
+    assert _theta_combos_calls(path) == []

@@ -51,7 +51,7 @@ class TestConfig:
         ctx = make_ctx(3, 2, seed=0)
         t = verify.random_member(ctx, seed=1, unit_norm=True)
         with pytest.raises(ValueError):
-            sup_on_circle(np.cos, math.pi, 4)
+            sup_on_circle(np.cos, 4)
         with pytest.raises(ValueError):
             generalized_radius(ctx, A_NORM, t, grid_points=4)
         with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ class TestEngines:
             calls.append(np.array(thetas))
             return np.cos(2.0 * (thetas - 1.0))
 
-        theta, val = sup_on_circle(f, math.pi, 64)
+        theta, val = sup_on_circle(f, 64)
         np.testing.assert_array_equal(
             calls[0], np.linspace(0.0, math.pi, 64, endpoint=False)
         )
@@ -141,7 +141,7 @@ def _refine(f, grid_points=64):
         calls.append(thetas.size)
         return f(thetas)
 
-    theta, val = sup_on_circle(counted, math.pi, grid_points)
+    theta, val = sup_on_circle(counted, grid_points)
     grid_max = float(np.max(f(np.linspace(0.0, math.pi, grid_points, endpoint=False))))
     assert calls[0] == grid_points and all(c == 1 for c in calls[1:])
     return theta, val, len(calls) - 1, grid_max
@@ -356,7 +356,7 @@ class TestLevelSet:
         spec = next(s for s in verify.catalog() if s.id == "C27")
         dim, profile = [(n, p) for n in cfg.dims for p in cfg.rank_profiles][2]
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 27, 2]))
-        ctx, mats = verify._GENERATORS[spec.generator](dim, profile, rng, cfg.rtol, 2)
+        ctx, mats = spec.generator(dim, profile, rng, cfg.rtol, 2)
         t = mats["T"]
         assert np.abs(t @ t).max() < 1e-15
         self._check(ctx, t, a_operator_norm(ctx, t) / 2.0)

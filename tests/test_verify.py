@@ -232,6 +232,14 @@ class TestRunSuite:
         assert [c.id for c in rep.checks] == ["C18", "C19"]
         with pytest.raises(KeyError):
             run_suite(SMALL_CFG, only=["C99"])
+        # a list that names no check is an error, not "every check"
+        with pytest.raises(ValueError, match="only"):
+            run_suite(SMALL_CFG, only=[])
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_suite(SMALL_CFG, only=["C18"], threads=threads)
 
     def test_pinned_remark_values(self):
         rep = run_suite(SMALL_CFG, only=["C26"])
@@ -248,6 +256,9 @@ class TestRunSuite:
             InstanceGenConfig(instances_per_check=0)
         with pytest.raises(ValueError):
             InstanceGenConfig(rank_profiles=("thirds",))
+        # the runner draws instance i from cell i % len(grid)
+        with pytest.raises(ValueError, match="rank_profiles"):
+            InstanceGenConfig(rank_profiles=())
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
     def test_tol_rel_must_be_finite_and_nonnegative(self, tol):
