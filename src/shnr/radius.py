@@ -18,11 +18,12 @@ supremum within that grid bound, whatever the refinement does.
 
 Every objective is batched: ``sup_on_circle`` hands it a 1-D array of
 angles and takes an array of values back, the whole grid in one call and
-each refinement step as a one-angle array.  The generic objective,
-:func:`_profile`, builds the A-real parts cos(theta) Re_A T - sin(theta)
-Im_A T as (k, n, n) stacks of at most ``linalg.STACK_BYTES`` with one
-``N.evaluate`` call per stack (the stack contract of
-:class:`~shnr.seminorms.SeminormDescriptor`); the catalog's sweeps share it.
+each refinement step as a one-angle array.  :func:`_profile`, the one
+angle-stack loop, hands the A-real parts cos(theta) Re_A T - sin(theta)
+Im_A T in stacks of at most ``linalg.STACK_BYTES`` to ``N.evaluate`` (the
+engine) or to a batched eigenvalue call (the level set).  One form is enough:
+Im_A(e^{i theta} T) = -Re_A(e^{i (theta + pi/2)} T), so N of it is the profile
+a quarter-turn on.
 
 For the A-operator seminorm the radius is omega_A(T), the classical
 numerical radius of the compression T~, and no angle grid is needed: the
@@ -37,6 +38,7 @@ objective's A-real parts, which are A-selfadjoint, in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -171,13 +173,12 @@ def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndar
     return np.cos(thetas)[:, None, None] * r0 - np.sin(thetas)[:, None, None] * i0
 
 
-def _profile(ctx, seminorm, r0, i0, thetas):
-    """N(cos(theta) r0 - sin(theta) i0) at each of a 1-D array of angles,
-    one ``seminorm.evaluate`` call per ``linalg.STACK_BYTES`` stack: the
-    profile of N(Re_A(e^{i theta} T)) for (r0, i0) = (Re_A T, Im_A T), and
-    of N(Im_A(e^{i theta} T)) for (Im_A T, -Re_A T)."""
+def _profile(fn, r0, i0, thetas):
+    """fn of cos(theta) r0 - sin(theta) i0 at each of a 1-D array of angles,
+    one ``fn`` call per ``linalg.STACK_BYTES`` stack; ``fn`` maps a
+    (k, n, n) stack to k values."""
     return np.concatenate([
-        seminorm.evaluate(ctx, _theta_combos(r0, i0, thetas[sl]))
+        fn(_theta_combos(r0, i0, thetas[sl]))
         for sl in linalg.stack_slices(thetas.size, r0.nbytes)
     ])
 
@@ -206,16 +207,6 @@ _START = np.arange(8) * (math.pi / 8)
 #: Levels never needed more than four in the tests; the cap only bounds a loop
 #: that raises the level by a factor (1 + margin) at each pass.
 _MAX_LEVELS = 64
-
-
-def _abs_max_at(h1, h2, thetas):
-    """Largest |eigenvalue| of cos(theta) h1 - sin(theta) h2 at each angle,
-    in stacks of at most ``linalg.STACK_BYTES``: a value attained by the
-    Hermitian part of e^{i theta} M or of e^{i (theta + pi)} M."""
-    return np.concatenate([
-        linalg.hermitian_abs_max(_theta_combos(h1, h2, thetas[sl]))
-        for sl in linalg.stack_slices(thetas.size, h1.nbytes)
-    ])
 
 
 def _level_set_radius(m: np.ndarray) -> float:
@@ -271,7 +262,8 @@ def _level_set_radius(m: np.ndarray) -> float:
     drest = np.hstack((2.0 * a * eye, 2.0 * (1.0 + abs(a) ** 2) * eye))
     comp = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     comp[:n, n:] = eye
-    r = float(_abs_max_at(h1, h2, _START).max())
+    # |lam|_max of herm(e^{i theta} M): lam_max there or at theta + pi
+    r = float(_profile(linalg.hermitian_abs_max, h1, h2, _START).max())
     fine = 2 * n * _EPS * float(np.linalg.norm(m)) / r
     on_circle = math.sqrt(2 * n * _EPS)
     for _ in range(_MAX_LEVELS):
@@ -289,7 +281,7 @@ def _level_set_radius(m: np.ndarray) -> float:
         # arg z for each crossing w, and the midpoint of each arc between them
         th = np.sort(np.angle(w + a) - np.angle(1.0 + ac * w))
         mids = (th + np.append(th[1:], th[0] + 2.0 * math.pi)) / 2.0
-        best = float(_abs_max_at(h1, h2, mids).max())
+        best = float(_profile(linalg.hermitian_abs_max, h1, h2, mids).max())
         if best <= level:
             return max(r, best)
         r = best
@@ -326,9 +318,8 @@ def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
     r0 = (t + adj) / 2.0
     i0 = (t - adj) / 2.0j
     if not a_norm:
-        _, val = sup_on_circle(
-            lambda thetas: _profile(ctx, seminorm, r0, i0, thetas), grid_points
-        )
+        evaluate = functools.partial(seminorm.evaluate, ctx)
+        _, val = sup_on_circle(functools.partial(_profile, evaluate, r0, i0), grid_points)
         if not with_error_bound:
             return val
     lip = float(np.sum(seminorm.evaluate(ctx, np.stack([r0, i0]))))

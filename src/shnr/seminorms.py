@@ -126,15 +126,16 @@ def _evaluate_stack(b, factor, width, solve):
     one block gives a float.
     """
     tts = b[None] if b.ndim == 2 else b
+    item = tts.itemsize * tts.shape[-2] * tts.shape[-1]
     scale = np.linalg.norm(tts, axis=(-2, -1))
     skew = np.linalg.norm(tts - ctranspose(tts), axis=(-2, -1))
     hermitian = skew <= _HERMITIAN_SKEW_RTOL * scale
     out = np.zeros(len(tts))
     idx = np.flatnonzero(hermitian & (scale > 0.0))
-    for sl in linalg.stack_slices(idx.size, tts[0].nbytes):
+    for sl in linalg.stack_slices(idx.size, item):
         out[idx[sl]] = factor * linalg.hermitian_abs_max(herm(tts[idx[sl]]))
     idx = np.flatnonzero(~hermitian & (scale > 0.0))
-    for sl in linalg.stack_slices(idx.size, width * tts[0].nbytes):
+    for sl in linalg.stack_slices(idx.size, width * item):
         out[idx[sl]] = solve(tts[idx[sl]], scale[idx[sl]])
     return float(out[0]) if b.ndim == 2 else out
 

@@ -24,6 +24,7 @@ descriptor's declared property flags.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -341,8 +342,9 @@ _GRIDS = {
     "omega_t_grid": seminorms.OMEGA_T_GRID,
     "omega_psi_grid": seminorms.OMEGA_PSI_GRID,
 }
-#: Angle grid of the C02/C07 sweeps of the Re/Im profile.
-_SWEEP_GRID = 64
+#: Grid of the C02/C07 sweeps, in 2 theta over [0, pi): the 64 angles
+#: theta = k pi / 64 of the A-real profile.
+_SWEEP_GRID = 32
 
 
 def _w(ctx, n_desc, t):
@@ -353,6 +355,21 @@ def _adjoint_parts(ctx, t):
     """T#, Re_A(T) and Im_A(T) from one membership check and one adjoint."""
     c = a_adjoint(ctx, t)
     return c, (t + c) / 2.0, (t - c) / 2.0j
+
+
+def _re_im_sweep(ctx, n_desc, r0, i0, combine):
+    """sup over theta of combine(N(Re_A(e^{i theta} T)), N(Im_A(e^{i theta} T)))
+    = combine(p(theta), p(theta + pi/2)) for the A-real profile p: period
+    pi/2, so it is swept over phi = 2 theta, one profile call per sweep call."""
+    evaluate = functools.partial(n_desc.evaluate, ctx)
+
+    def objective(phis):
+        thetas = phis / 2.0
+        both = np.concatenate([thetas, thetas + math.pi / 2.0])
+        vals = radius._profile(evaluate, r0, i0, both)
+        return combine(vals[: phis.size], vals[phis.size:])
+
+    return radius.sup_on_circle(objective, _SWEEP_GRID)[1]
 
 
 def _eval_c01(ctx, mats, n_desc):
@@ -369,14 +386,7 @@ def _eval_c02(ctx, mats, n_desc):
     t = mats["T"]
     w = _w(ctx, n_desc, t)
     _, r0, i0 = _adjoint_parts(ctx, t)
-
-    def gap(thetas):
-        return np.abs(
-            radius._profile(ctx, n_desc, r0, i0, thetas)
-            - radius._profile(ctx, n_desc, i0, -r0, thetas)
-        )
-
-    _, sup_gap = radius.sup_on_circle(gap, _SWEEP_GRID)
+    sup_gap = _re_im_sweep(ctx, n_desc, r0, i0, lambda re, im: np.abs(re - im))
     lhs = n_desc.evaluate(ctx, t) / 2 + sup_gap / 2
     return InstanceOutcome([(lhs, w)])
 
@@ -428,14 +438,7 @@ def _eval_c07(ctx, mats, n_desc):
     w = _w(ctx, n_desc, t)
     _, r0, i0 = _adjoint_parts(ctx, t)
     rhs_plain = math.hypot(n_desc.evaluate(ctx, r0), n_desc.evaluate(ctx, i0))
-
-    def euclid(thetas):
-        return -np.hypot(
-            radius._profile(ctx, n_desc, r0, i0, thetas),
-            radius._profile(ctx, n_desc, i0, -r0, thetas),
-        )
-
-    _, neg_inf = radius.sup_on_circle(euclid, _SWEEP_GRID)
+    neg_inf = _re_im_sweep(ctx, n_desc, r0, i0, lambda re, im: -np.hypot(re, im))
     return InstanceOutcome([(w, rhs_plain), (w, -neg_inf)])
 
 
@@ -609,22 +612,23 @@ def _eval_c27(ctx, mats, n_desc):
     nt = n_desc.evaluate(ctx, t)
     c, r0, i0 = _adjoint_parts(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
-    tol = 1e-7 * max(1.0, nt)
+    tol = 1e-7 * nt
     target = math.sqrt(q) / 2
     flat = abs(w - nt / 2) <= tol  # lower-bound attainment forces flat angle profile
     quadratic = abs(w - target) <= tol  # quadratic lower-bound attainment
     held = flat or quadratic
     pairs = []
     if held:
+        # the Im value at each angle is the Re value 32 steps on: Re covers both
         thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
-        re_vals = radius._profile(ctx, n_desc, r0, i0, thetas)
-        im_vals = radius._profile(ctx, n_desc, i0, -r0, thetas)
-        per_angle = np.stack([re_vals, im_vals], axis=1).ravel()  # Re, Im per angle
+        vals = radius._profile(functools.partial(n_desc.evaluate, ctx), r0, i0, thetas)
         for bound, premise in ((nt / 2, flat), (target, quadratic)):
             if premise:
-                pairs.extend((v, bound) for v in per_angle)
+                pairs.extend((v, bound) for v in vals)
         if n_desc.base_id == "big_omega" and flat:
-            re_norms = radius._profile(ctx, seminorms.a_norm_seminorm(), r0, i0, thetas)
+            re_norms = radius._profile(
+                functools.partial(a_operator_norm, ctx), r0, i0, thetas
+            )
             pairs.extend((nt, 2 * _SQRT2 * v) for v in re_norms)
     return InstanceOutcome(pairs, premise_held=held)
 

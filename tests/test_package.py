@@ -108,22 +108,24 @@ def test_seminorms_compute_on_the_range_block(path):
     assert [where for owner, where in _compress_calls(path) if owner not in allowed] == []
 
 
-def _theta_combos_calls(path):
+def _theta_combos_callers(path):
+    """The top-level definitions of a module (``<module>`` for other
+    statements) that call ``_theta_combos``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return [
-        f"{path.name}:{node.lineno}"
-        for node in ast.walk(tree)
+    return sorted({
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        for node in ast.walk(stmt)
         if isinstance(node, ast.Call)
         and (node.func.attr if isinstance(node.func, ast.Attribute)
              else getattr(node.func, "id", None)) == "_theta_combos"
-    ]
+    })
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "radius.py"],
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_angle_profile_has_one_home(path):
-    # the combinations cos(theta) Re_A T - sin(theta) Im_A T are built in
-    # radius alone: the engine and the catalog's sweeps share radius._profile
-    assert _theta_combos_calls(path) == []
+    # the combinations cos(theta) Re_A T - sin(theta) Im_A T are built by
+    # radius._profile alone, the one angle-stack loop that the engine, the
+    # level set and the catalog's sweeps share
+    want = ["_profile"] if path.name == "radius.py" else []
+    assert _theta_combos_callers(path) == want

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 
@@ -16,6 +17,7 @@ from shnr import (
     compress,
     gamma_a,
     generalized_radius,
+    im_a,
     omega_a,
     omega_a_fast,
     spectral_norm,
@@ -429,6 +431,26 @@ class TestInvariances:
         n = a_operator_norm(ctx, t)
         assert generalized_radius(ctx, A_NORM, t) == pytest.approx(n, abs=1e-9)
         assert generalized_radius(ctx, A_NORM, -1j * t) == pytest.approx(n, abs=1e-9)
+
+
+class TestQuarterTurn:
+    """N(Im_A(e^{i theta} T)) is the A-real profile at theta + pi/2, the
+    identity the catalog's Re/Im sweeps read it by; the Im side is taken
+    from ``im_a`` of e^{i theta} T, not from the profile."""
+
+    @pytest.mark.parametrize("n,rank", [(n, r) for n in range(2, 7) for r in range(1, n + 1)])
+    def test_im_profile_is_re_profile_a_quarter_turn_on(self, n, rank):
+        ctx = make_ctx(n, rank, seed=1700 + 10 * n + rank)
+        t = verify.random_member(ctx, seed=1750 + 10 * n + rank, unit_norm=True)
+        adj = a_adjoint(ctx, t)
+        thetas = np.linspace(0.0, math.pi, 16, endpoint=False) + 0.1
+        bound = 8 * n * np.finfo(float).eps * a_operator_norm(ctx, t)
+        for desc in (A_NORM, big_omega_seminorm(), a_alpha_seminorm(0.5)):
+            evaluate = functools.partial(desc.evaluate, ctx)
+            shifted = radius._profile(evaluate, (t + adj) / 2.0, (t - adj) / 2.0j,
+                                      thetas + math.pi / 2.0)
+            im = desc.evaluate(ctx, np.stack([im_a(ctx, np.exp(1j * th) * t) for th in thetas]))
+            assert np.abs(shifted - im).max() <= bound
 
 
 class TestRadiusIsSeminorm:

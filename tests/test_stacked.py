@@ -85,6 +85,12 @@ class TestStackedEvaluate:
         _small_stacks(monkeypatch, 5, 3)
         np.testing.assert_allclose(desc.evaluate(ctx, stack), want, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("name", list(DESCRIPTORS))
+    def test_empty_stack_gives_no_values(self, name):
+        ctx = make_ctx(3, 2, seed=715)
+        got = DESCRIPTORS[name].evaluate(ctx, np.zeros((0, 3, 3), dtype=complex))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
     def test_single_matrix_gives_float(self):
         ctx = make_ctx(3, 3, seed=720)
         t = verify.random_member(ctx, seed=721, unit_norm=True)

@@ -103,8 +103,9 @@ class TestCatalog:
 class TestAngleSweeps:
     @pytest.mark.parametrize("check_id", ["C02", "C07"])
     def test_sweep_makes_stacked_calls(self, check_id):
-        # per form, one call on the whole 64-angle grid and one per refinement
-        # step; outside the sweep only N(T) or N(Re_A T), N(Im_A T)
+        # the sweep runs over 2 theta: its grid is one stack of the 64
+        # angles theta and theta + pi/2, and each refinement step one stack
+        # of two; outside the sweep only N(T) or N(Re_A T), N(Im_A T)
         n = 3
         shapes = []
         base = shnr.a_norm_seminorm()
@@ -119,14 +120,31 @@ class TestAngleSweeps:
         spec = {s.id: s for s in catalog()}[check_id]
         spec.evaluator(ctx, {"T": t}, desc)
         sweep = verify._SWEEP_GRID
-        grid = [s for s in shapes if s == (sweep, n, n)]
-        steps = [s for s in shapes if s == (1, n, n)]
+        grid = [s for s in shapes if s == (2 * sweep, n, n)]
+        steps = [s for s in shapes if s == (2, n, n)]
         singles = [s for s in shapes if s == (n, n)]
-        assert len(grid) == 2
-        assert len(steps) % 2 == 0
-        assert 4 <= len(steps) <= 2 * refine_step_cap(sweep)
+        assert sweep == 32 and len(grid) == 1
+        assert 2 <= len(steps) <= refine_step_cap(sweep)
         assert len(singles) <= 2
         assert len(grid) + len(steps) + len(singles) == len(shapes)
+
+
+class TestC27Scale:
+    """C27's premise and slacks do not depend on the overall scale of T."""
+
+    @pytest.mark.parametrize("idx", [0, 1, 3], ids=["engineered", "noise1", "noise3"])
+    @pytest.mark.parametrize("desc", [shnr.a_norm_seminorm(), shnr.big_omega_seminorm()],
+                             ids=lambda d: d.id)
+    def test_premise_and_slacks_are_scale_free(self, idx, desc):
+        spec = {s.id: s for s in catalog()}["C27"]
+        rng = np.random.default_rng(np.random.SeedSequence([42, 27, idx]))
+        ctx, mats = spec.generator(3, "full", rng, verify.DEFAULT_RTOL, idx)
+        outcomes = [spec.evaluator(ctx, {"T": c * mats["T"]}, desc) for c in (1e-8, 1.0, 1e8)]
+        # the engineered instance attains the A-norm's lower bound; these noise ones none
+        assert [o.premise_held for o in outcomes] == [idx == 0 and desc.id == "a_norm"] * 3
+        slacks = [[verify._slack(spec.kind, l, r) for l, r in o.pairs] for o in outcomes]
+        for other in (slacks[0], slacks[2]):
+            np.testing.assert_allclose(other, slacks[1], rtol=0.0, atol=1e-12)
 
 
 class TestSlack:
