@@ -224,13 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_member.add_argument("t_path")
     p_member.set_defaults(func=cmd_membership)
 
+    cfg = verify.InstanceGenConfig()
     p_check = sub.add_parser("check", help="run the inequality suite")
-    p_check.add_argument("--dims", default="2,3,4", help="comma list, e.g. 2,3")
-    p_check.add_argument("--instances", type=int, default=200)
-    p_check.add_argument("--seed", type=int, default=42)
-    p_check.add_argument("--ranks", default="full,n-1,half",
+    p_check.add_argument("--dims", default=",".join(map(str, cfg.dims)),
+                         help="comma list, e.g. 2,3")
+    p_check.add_argument("--instances", type=int, default=cfg.instances_per_check)
+    p_check.add_argument("--seed", type=int, default=cfg.seed)
+    p_check.add_argument("--ranks", default=",".join(cfg.rank_profiles),
                          help="comma list of rank profiles")
-    p_check.add_argument("--tol", type=float, default=1e-6,
+    p_check.add_argument("--tol", type=float, default=cfg.tol_rel,
                          help="relative slack tolerance")
     p_check.add_argument("--only", default=None, help="comma list of check ids")
     p_check.add_argument("--out", default="shnr-report.json")

@@ -1,11 +1,12 @@
 """Dense complex linear-algebra kernels.
 
-Everything downstream (semi-inner products, adjoints, seminorms, radii)
-reduces to the handful of spectral primitives in this module: spectral
-norm, Moore-Penrose pseudoinverse, PSD square root and the orthogonal
-projector onto a range.  Matrices are plain ``numpy`` arrays of
-``complex128``; sizes of interest are desk scale (n up to a few dozen),
-so dense LAPACK-backed routines are the right tool.
+The library's spectral work goes through the PSD eigendecomposition and
+rank mask every context is built from (:func:`_psd_spectrum`), the
+spectral norm and the largest |eigenvalue| of Hermitian stacks.  The
+pseudoinverse, PSD square root and range projector share the rank policy
+as reference constructions; no other module calls them.  Matrices are
+``complex128`` arrays at desk scale (n up to a few dozen), so dense
+LAPACK-backed routines are the right tool.
 
 Conventions kept throughout:
 
@@ -62,8 +63,12 @@ def as_matrix_stack(data, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(data, name: str = "vector") -> np.ndarray:
-    """Coerce input to a 1-D complex128 array with finite entries."""
-    v = np.asarray(data, dtype=np.complex128).reshape(-1)
+    """Coerce 1-D input to a complex128 array with finite entries; any other
+    shape raises ``DimensionMismatchError``, so no matrix is read as its
+    flattened entries."""
+    v = np.asarray(data, dtype=np.complex128)
+    if v.ndim != 1:
+        raise DimensionMismatchError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise DimensionMismatchError(f"{name} contains non-finite entries")
     return v

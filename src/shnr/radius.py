@@ -314,9 +314,7 @@ def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
         val = _level_set_radius(semihilbert._range_block(ctx, t))
         if not with_error_bound:
             return val
-    adj = semihilbert._adjoint_of_member(ctx, t)
-    r0 = (t + adj) / 2.0
-    i0 = (t - adj) / 2.0j
+    _, r0, i0 = semihilbert._cartesian_parts(ctx, t)
     if not a_norm:
         evaluate = functools.partial(seminorm.evaluate, ctx)
         _, val = sup_on_circle(functools.partial(_profile, evaluate, r0, i0), grid_points)

@@ -217,6 +217,13 @@ def _adjoint_of_member(ctx: SemiHilbertContext, t: np.ndarray) -> np.ndarray:
     return (vr / d) @ inner @ (d[:, None] * vr.conj().T)
 
 
+def _cartesian_parts(ctx: SemiHilbertContext, t: np.ndarray):
+    """(T#, Re_A T, Im_A T) = (T#, (T + T#)/2, (T - T#)/2i), the A-Cartesian
+    parts, for a T already validated by :func:`require_member`."""
+    adj = _adjoint_of_member(ctx, t)
+    return adj, (t + adj) / 2.0, (t - adj) / 2.0j
+
+
 def a_adjoint(ctx: SemiHilbertContext, t) -> np.ndarray:
     """The distinguished A-adjoint A^+ T* A.
 
@@ -227,14 +234,12 @@ def a_adjoint(ctx: SemiHilbertContext, t) -> np.ndarray:
 
 def re_a(ctx: SemiHilbertContext, t) -> np.ndarray:
     """A-real part (T + T#)/2; always A-selfadjoint."""
-    t = require_member(ctx, t)
-    return (t + _adjoint_of_member(ctx, t)) / 2.0
+    return _cartesian_parts(ctx, require_member(ctx, t))[1]
 
 
 def im_a(ctx: SemiHilbertContext, t) -> np.ndarray:
     """A-imaginary part (T - T#)/2i; always A-selfadjoint."""
-    t = require_member(ctx, t)
-    return (t - _adjoint_of_member(ctx, t)) / 2.0j
+    return _cartesian_parts(ctx, require_member(ctx, t))[2]
 
 
 def compress(ctx: SemiHilbertContext, t) -> np.ndarray:

@@ -35,16 +35,20 @@ def matrix_from_dict(d) -> np.ndarray:
     """Decode a matrix object; any malformed field or entry raises
     ``DimensionMismatchError``.
 
-    Entries must be JSON numbers (strings and booleans are refused).  They
-    convert as ``float()`` would, in one numpy call, and the ``(n, 2)``
-    float pairs are reinterpreted as complex128, so every bit (a signed
-    zero too) survives the trip.
+    ``rows`` and ``cols`` must be JSON integers (not floats, strings or
+    booleans).  Entries must be JSON numbers (strings and booleans are
+    refused).  They convert as ``float()`` would, in one numpy call, and the
+    ``(n, 2)`` float pairs are reinterpreted as complex128, so every bit (a
+    signed zero too) survives the trip.
     """
     try:
-        rows, cols, data = int(d["rows"]), int(d["cols"]), d["data"]
+        rows, cols, data = d["rows"], d["cols"], d["data"]
         size = len(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatchError(f"malformed matrix object: {exc}") from exc
+    for name, value in (("rows", rows), ("cols", cols)):
+        if type(value) is not int:
+            raise DimensionMismatchError(f"{name} must be a JSON integer, got {value!r}")
     if rows <= 0 or cols <= 0:
         raise DimensionMismatchError("matrix dimensions must be positive")
     if size != rows * cols:

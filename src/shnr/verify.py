@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
@@ -34,8 +35,8 @@ import numpy as np
 
 from . import __version__, radius, semihilbert, seminorms, serialize
 from .exceptions import RankOutOfRangeError, ShnrError
-from .linalg import DEFAULT_RTOL, herm, spectral_norm
-from .semihilbert import a_adjoint, a_operator_norm, build_context, re_a
+from .linalg import DEFAULT_RTOL, _check_rtol, herm, spectral_norm
+from .semihilbert import a_adjoint, a_operator_norm, build_context, re_a, require_member
 from .seminorms import SeminormDescriptor
 
 _SLACK_FLOOR = 1e-300
@@ -47,13 +48,9 @@ _PROFILE_RANKS = {
 }
 
 # ---------------------------------------------------------------------------
-# instance generation
-
-
-def _resolve_rng(seed=None, rng=None):
-    if rng is not None:
-        return rng
-    return np.random.default_rng(seed)
+# instance generation: each generator takes one ``seed`` (None, an int, a
+# SeedSequence or a Generator) and resolves it by ``np.random.default_rng``,
+# which hands a Generator back unchanged, so one stream can feed many draws
 
 
 def _random_unitary(n, rng):
@@ -74,7 +71,7 @@ def _unit_norm(t: np.ndarray) -> np.ndarray:
     return t / s if s > 0 else t
 
 
-def random_psd(n: int, rank: int, seed=None, rng=None) -> np.ndarray:
+def random_psd(n: int, rank: int, seed=None) -> np.ndarray:
     """Random Hermitian PSD matrix with exactly ``rank`` nonzero eigenvalues.
 
     Built from a Haar-ish unitary and a clamped spectrum normalized to
@@ -82,7 +79,7 @@ def random_psd(n: int, rank: int, seed=None, rng=None) -> np.ndarray:
     """
     if not 1 <= rank <= n:
         raise RankOutOfRangeError(f"rank {rank} not in 1..{n}")
-    rng = _resolve_rng(seed, rng)
+    rng = np.random.default_rng(seed)
     q = _random_unitary(n, rng)
     vals = rng.uniform(0.2, 1.0, size=rank)
     vals /= vals.max()
@@ -90,38 +87,38 @@ def random_psd(n: int, rank: int, seed=None, rng=None) -> np.ndarray:
     return herm((qr_cols * vals) @ qr_cols.conj().T)
 
 
-def random_member(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarray:
+def random_member(ctx, seed=None, unit_norm: bool = False) -> np.ndarray:
     """Random A-adjointable operator.
 
     A Ginibre draw is made block lower-triangular with respect to
     range(A) + ker(A) by removing its range-to-kernel block, which forces
     the kernel of A to be invariant, hence membership.
     """
-    rng = _resolve_rng(seed, rng)
+    rng = np.random.default_rng(seed)
     g = _ginibre(ctx.dim, rng)
     pg = ctx.proj @ g
     t = g - pg + pg @ ctx.proj
     return _unit_norm(t) if unit_norm else t
 
 
-def random_a_selfadjoint(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarray:
+def random_a_selfadjoint(ctx, seed=None, unit_norm: bool = False) -> np.ndarray:
     """Random A-selfadjoint operator (Hermitian compression lifted back)."""
-    rng = _resolve_rng(seed, rng)
+    rng = np.random.default_rng(seed)
     t = semihilbert.uncompress(ctx, herm(_ginibre(ctx.dim, rng)))
     return _unit_norm(t) if unit_norm else t
 
 
-def random_a_positive(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarray:
+def random_a_positive(ctx, seed=None, unit_norm: bool = False) -> np.ndarray:
     """Random A-positive operator (PSD compression lifted back)."""
-    rng = _resolve_rng(seed, rng)
+    rng = np.random.default_rng(seed)
     g = _ginibre(ctx.dim, rng)
     t = semihilbert.uncompress(ctx, g @ g.conj().T)
     return _unit_norm(t) if unit_norm else t
 
 
-def random_a_normal(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.ndarray:
+def random_a_normal(ctx, seed=None, unit_norm: bool = False) -> np.ndarray:
     """Random A-normal operator: normal compression plus a free kernel block."""
-    rng = _resolve_rng(seed, rng)
+    rng = np.random.default_rng(seed)
     r = ctx.rank
     v = _random_unitary(r, rng)
     d = rng.standard_normal(r) + 1j * rng.standard_normal(r)
@@ -129,15 +126,16 @@ def random_a_normal(ctx, seed=None, rng=None, unit_norm: bool = False) -> np.nda
     return _unit_norm(t) if unit_norm else t
 
 
-def random_a_unitary(ctx, seed=None, rng=None) -> np.ndarray:
+def random_a_unitary(ctx, seed=None) -> np.ndarray:
     """Random A-unitary operator: unitary compression plus identity on ker A."""
-    rng = _resolve_rng(seed, rng)
+    rng = np.random.default_rng(seed)
     wr = _random_unitary(ctx.rank, rng)
     return semihilbert._lift(ctx, wr, np.eye(ctx.dim - ctx.rank))
 
 
-def random_nilpotent(n: int, rng) -> np.ndarray:
+def random_nilpotent(n: int, seed=None) -> np.ndarray:
     """Random rank-one square-zero matrix x y* with x orthogonal to y, unit norm."""
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     x /= np.linalg.norm(x)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -152,7 +150,8 @@ def _range_nilpotent(ctx, rng) -> np.ndarray:
 
 
 def _unit_vector(ctx, rng):
-    v = rng.standard_normal(ctx.dim) + 1j * rng.standard_normal(ctx.dim)
+    """Random unit vector as the (n, 1) column that witnesses store."""
+    v = rng.standard_normal((ctx.dim, 1)) + 1j * rng.standard_normal((ctx.dim, 1))
     return v / np.linalg.norm(v)
 
 
@@ -198,8 +197,8 @@ def probe_properties(ctx, descriptor: SeminormDescriptor, trials: int,
     }
     for k in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-        t = random_member(ctx, rng=rng, unit_norm=True)
-        s = random_member(ctx, rng=rng, unit_norm=True)
+        t = random_member(ctx, rng, unit_norm=True)
+        s = random_member(ctx, rng, unit_norm=True)
         lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
 
         nt = ev(ctx, t)
@@ -217,13 +216,13 @@ def probe_properties(ctx, descriptor: SeminormDescriptor, trials: int,
             abs(ev(ctx, semihilbert.a_adjoint(ctx, t)) - nt),
         )
 
-        pos_small = random_a_positive(ctx, rng=rng, unit_norm=True)
-        pos_extra = random_a_positive(ctx, rng=rng, unit_norm=True)
+        pos_small = random_a_positive(ctx, rng, unit_norm=True)
+        pos_extra = random_a_positive(ctx, rng, unit_norm=True)
         worst["a_increasing"] = max(
             worst["a_increasing"], ev(ctx, pos_small) - ev(ctx, pos_small + pos_extra)
         )
 
-        sa = random_a_selfadjoint(ctx, rng=rng, unit_norm=True)
+        sa = random_a_selfadjoint(ctx, rng, unit_norm=True)
         n_sa = ev(ctx, sa)
         for p in (2, 3):
             worst["power_property"] = max(
@@ -276,6 +275,11 @@ class CheckResult:
     worst_witness: Optional[dict] = None
 
 
+def _is_count(x, least: int) -> bool:
+    """Whether x is an integer, and not a bool, of at least ``least``."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
+
+
 @dataclass
 class InstanceGenConfig:
     """Configuration of one suite run; fully determines its output."""
@@ -288,15 +292,21 @@ class InstanceGenConfig:
     rtol: float = DEFAULT_RTOL
 
     def __post_init__(self):
-        if not self.dims or min(self.dims) < 2:
-            raise ValueError("dims must all be at least 2")
+        if not _is_count(self.seed, 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not self.dims or not all(_is_count(n, 2) for n in self.dims):
+            raise ValueError(f"dims must be integers of at least 2, got {self.dims!r}")
         if not self.rank_profiles:
             raise ValueError("rank_profiles must name at least one profile")
-        if self.instances_per_check < 1:
-            raise ValueError("instances_per_check must be at least 1")
+        if not _is_count(self.instances_per_check, 1):
+            raise ValueError(
+                "instances_per_check must be an integer of at least 1, "
+                f"got {self.instances_per_check!r}"
+            )
         # the negated test also rejects nan
         if not 0.0 <= self.tol_rel < math.inf:
             raise ValueError(f"tol_rel must be finite and at least 0, got {self.tol_rel!r}")
+        _check_rtol(self.rtol)
         for p in self.rank_profiles:
             if p not in _PROFILE_RANKS:
                 raise ValueError(f"unknown rank profile {p!r}")
@@ -351,12 +361,6 @@ def _w(ctx, n_desc, t):
     return radius.generalized_radius(ctx, n_desc, t, _THETA_GRID)
 
 
-def _adjoint_parts(ctx, t):
-    """T#, Re_A(T) and Im_A(T) from one membership check and one adjoint."""
-    c = a_adjoint(ctx, t)
-    return c, (t + c) / 2.0, (t - c) / 2.0j
-
-
 def _re_im_sweep(ctx, n_desc, r0, i0, combine):
     """sup over theta of combine(N(Re_A(e^{i theta} T)), N(Im_A(e^{i theta} T)))
     = combine(p(theta), p(theta + pi/2)) for the A-real profile p: period
@@ -375,7 +379,7 @@ def _re_im_sweep(ctx, n_desc, r0, i0, combine):
 def _eval_c01(ctx, mats, n_desc):
     t = mats["T"]
     w = _w(ctx, n_desc, t)
-    _, r0, i0 = _adjoint_parts(ctx, t)
+    _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     lhs = n_desc.evaluate(ctx, t) / 2 + abs(
         n_desc.evaluate(ctx, r0) - n_desc.evaluate(ctx, i0)
     ) / 2
@@ -385,7 +389,7 @@ def _eval_c01(ctx, mats, n_desc):
 def _eval_c02(ctx, mats, n_desc):
     t = mats["T"]
     w = _w(ctx, n_desc, t)
-    _, r0, i0 = _adjoint_parts(ctx, t)
+    _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     sup_gap = _re_im_sweep(ctx, n_desc, r0, i0, lambda re, im: np.abs(re - im))
     lhs = n_desc.evaluate(ctx, t) / 2 + sup_gap / 2
     return InstanceOutcome([(lhs, w)])
@@ -416,7 +420,7 @@ def _eval_c04(ctx, mats, n_desc):
 def _eval_c05(ctx, mats, n_desc):
     t = mats["T"]
     w = _w(ctx, n_desc, t)
-    c, r0, i0 = _adjoint_parts(ctx, t)
+    c, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     q = n_desc.evaluate(ctx, c @ t + t @ c)
     gap = abs(n_desc.evaluate(ctx, r0) ** 2 - n_desc.evaluate(ctx, i0) ** 2)
     return InstanceOutcome([(math.sqrt(q / 4 + gap / 2), w)])
@@ -436,7 +440,7 @@ def _eval_c06(ctx, mats, n_desc):
 def _eval_c07(ctx, mats, n_desc):
     t = mats["T"]
     w = _w(ctx, n_desc, t)
-    _, r0, i0 = _adjoint_parts(ctx, t)
+    _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     rhs_plain = math.hypot(n_desc.evaluate(ctx, r0), n_desc.evaluate(ctx, i0))
     neg_inf = _re_im_sweep(ctx, n_desc, r0, i0, lambda re, im: -np.hypot(re, im))
     return InstanceOutcome([(w, rhs_plain), (w, -neg_inf)])
@@ -610,7 +614,7 @@ def _eval_c27(ctx, mats, n_desc):
     t = mats["T"]
     w = _w(ctx, n_desc, t)
     nt = n_desc.evaluate(ctx, t)
-    c, r0, i0 = _adjoint_parts(ctx, t)
+    c, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     q = n_desc.evaluate(ctx, c @ t + t @ c)
     tol = 1e-7 * nt
     target = math.sqrt(q) / 2
@@ -638,7 +642,7 @@ def _eval_c27(ctx, mats, n_desc):
 
 
 def _make_ctx(n, profile, rng, rtol):
-    a = random_psd(n, _PROFILE_RANKS[profile](n), rng=rng)
+    a = random_psd(n, _PROFILE_RANKS[profile](n), rng)
     return build_context(a, rtol)
 
 
@@ -656,11 +660,11 @@ def _gen(**makers):
 
 
 def _member(ctx, rng):
-    return random_member(ctx, rng=rng, unit_norm=True)
+    return random_member(ctx, rng, unit_norm=True)
 
 
 def _a_normal(ctx, rng):
-    return random_a_normal(ctx, rng=rng, unit_norm=True)
+    return random_a_normal(ctx, rng, unit_norm=True)
 
 
 def _gen_sharp_mix(n, profile, rng, rtol, idx):
@@ -705,7 +709,7 @@ def catalog() -> list:
     member = _gen(T=_member)
     pair = _gen(T=_member, S=_member)
     a_selfadjoint = _gen(
-        T=lambda ctx, rng: random_a_selfadjoint(ctx, rng=rng, unit_norm=True)
+        T=lambda ctx, rng: random_a_selfadjoint(ctx, rng, unit_norm=True)
     )
 
     specs = [
@@ -728,7 +732,7 @@ def catalog() -> list:
             "C04",
             "w_N(T) = w_N(T#); and w_N(U# T U) = w_N(T) for A-unitary U under the A-norm",
             "equality", sa, ("a_norm", "big_omega"),
-            _gen(T=_member, U=lambda ctx, rng: random_a_unitary(ctx, rng=rng)),
+            _gen(T=_member, U=lambda ctx, rng: random_a_unitary(ctx, rng)),
             _eval_c04,
         ),
         CheckSpec(
@@ -872,11 +876,6 @@ def _expand_seminorms(ids, alphas):
 
 
 def _witness_dict(n_desc, dim, profile, idx, slack, lhs, rhs, a_mat, mats):
-    matrices = {"A": serialize.matrix_to_dict(a_mat)}
-    for key, m in mats.items():
-        matrices[key] = serialize.matrix_to_dict(
-            np.atleast_2d(m).T if np.asarray(m).ndim == 1 else m
-        )
     return {
         "seminorm": n_desc.base_id,
         "alpha": n_desc.alpha,
@@ -886,7 +885,9 @@ def _witness_dict(n_desc, dim, profile, idx, slack, lhs, rhs, a_mat, mats):
         "slack": slack,
         "lhs": lhs,
         "rhs": rhs,
-        "matrices": matrices,
+        "matrices": {
+            k: serialize.matrix_to_dict(m) for k, m in {"A": a_mat, **mats}.items()
+        },
     }
 
 

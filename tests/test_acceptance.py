@@ -48,9 +48,9 @@ def _instance(dim, profile, seed):
     rng = np.random.default_rng(
         np.random.SeedSequence([987, dim, PROFILES.index(profile), seed])
     )
-    a = verify.random_psd(dim, RANK_OF[profile](dim), rng=rng)
+    a = verify.random_psd(dim, RANK_OF[profile](dim), rng)
     ctx = build_context(a)
-    t = verify.random_member(ctx, rng=rng, unit_norm=True)
+    t = verify.random_member(ctx, rng, unit_norm=True)
     return ctx, t
 
 
@@ -206,7 +206,7 @@ def test_criterion_7_kernel_residuals():
         for i in range(100):
             rng = np.random.default_rng(np.random.SeedSequence([7000, n, i]))
             rank = 1 + int(rng.integers(n))
-            a = verify.random_psd(n, rank, rng=rng)
+            a = verify.random_psd(n, rank, rng)
             p = pseudo_inverse(a)
             worst_penrose = max(
                 worst_penrose,

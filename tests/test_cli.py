@@ -210,6 +210,29 @@ class TestMatrixEntries:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    SHAPES = {
+        "float_rows": ('{"rows": 2.7, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+                       "rows"),
+        "bool_rows": ('{"rows": true, "cols": 1, "data": [[1, 0]]}', "rows"),
+        "string_rows": ('{"rows": "2", "cols": 1, "data": [[1, 0], [0, 0]]}', "rows"),
+        "float_cols": ('{"rows": 1, "cols": 1.0, "data": [[1, 0]]}', "cols"),
+        "null_cols": ('{"rows": 1, "cols": null, "data": [[1, 0]]}', "cols"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_dimensions_must_be_json_integers(self, case, tmp_path, capsys):
+        text, field = self.SHAPES[case]
+        with pytest.raises(DimensionMismatchError, match=f"^{field} must be a JSON integer"):
+            serialize.matrix_from_dict(json.loads(text))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        one = str(tmp_path / "one.json")
+        serialize.save_matrix(one, np.eye(1))
+        for argv in (["compute", one, str(bad), "norm_a"], ["membership", str(bad), one]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and f"{field} must be" in err, err
+
     def test_python_complex_rejected(self):
         with pytest.raises(DimensionMismatchError):
             serialize.matrix_from_dict({"rows": 1, "cols": 1, "data": [[1j, 0]]})
@@ -386,3 +409,20 @@ class TestCheck:
         assert main(["check", "--only", "C18", "--instances", "2", "--out", str(out)]) == 2
         assert "rtol" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_names_the_field(self, files, capsys):
+        out = files["tmp"] / "r.json"
+        assert main(["check", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["check"])
+        cfg = cli.verify.InstanceGenConfig()
+        assert args.dims == "2,3,4" and args.ranks == "full,n-1,half"
+        assert tuple(int(n) for n in args.dims.split(",")) == cfg.dims
+        assert tuple(args.ranks.split(",")) == cfg.rank_profiles
+        assert (args.instances, args.seed, args.tol) == (
+            cfg.instances_per_check, cfg.seed, cfg.tol_rel,
+        )

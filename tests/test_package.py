@@ -1,6 +1,7 @@
 """Guards on the package surface and its module layout."""
 
 import ast
+import inspect
 import pathlib
 
 import pytest
@@ -129,3 +130,17 @@ def test_angle_profile_has_one_home(path):
     # level set and the catalog's sweeps share
     want = ["_profile"] if path.name == "radius.py" else []
     assert _theta_combos_callers(path) == want
+
+
+def test_draws_take_one_seed():
+    # every generator resolves one ``seed`` with np.random.default_rng; no
+    # second ``rng`` parameter can silently win over it
+    fns = [getattr(shnr, name) for name in shnr.__all__]
+    fns.append(shnr.verify.random_nilpotent)
+    # exception classes have no signature to read, and take no seed
+    fns = [
+        fn for fn in fns
+        if callable(fn) and not (isinstance(fn, type) and issubclass(fn, Exception))
+    ]
+    assert len(fns) > 40
+    assert [fn.__name__ for fn in fns if "rng" in inspect.signature(fn).parameters] == []

@@ -383,7 +383,7 @@ class TestInvariances:
     @pytest.mark.parametrize("ctx", ctx_grid(22), ids=lambda c: f"n{c.dim}r{c.rank}")
     def test_phase_invariance(self, ctx):
         rng = np.random.default_rng(6)
-        t = verify.random_member(ctx, rng=rng, unit_norm=True)
+        t = verify.random_member(ctx, rng, unit_norm=True)
         phi = float(rng.uniform(0, 2 * math.pi))
         w0 = generalized_radius(ctx, A_NORM, t)
         w1 = generalized_radius(ctx, A_NORM, np.exp(1j * phi) * t)
@@ -399,8 +399,8 @@ class TestInvariances:
     @pytest.mark.parametrize("ctx", ctx_grid(24), ids=lambda c: f"n{c.dim}r{c.rank}")
     def test_a_unitary_conjugation_invariance(self, ctx):
         rng = np.random.default_rng(8)
-        t = verify.random_member(ctx, rng=rng, unit_norm=True)
-        u = verify.random_a_unitary(ctx, rng=rng)
+        t = verify.random_member(ctx, rng, unit_norm=True)
+        u = verify.random_a_unitary(ctx, rng)
         conj = a_adjoint(ctx, u) @ t @ u
         assert generalized_radius(ctx, A_NORM, conj) == pytest.approx(
             generalized_radius(ctx, A_NORM, t), abs=1e-6
@@ -457,8 +457,8 @@ class TestRadiusIsSeminorm:
     @pytest.mark.parametrize("ctx", ctx_grid(27), ids=lambda c: f"n{c.dim}r{c.rank}")
     def test_axioms_on_random_pairs(self, ctx):
         rng = np.random.default_rng(11)
-        t = verify.random_member(ctx, rng=rng, unit_norm=True)
-        s = verify.random_member(ctx, rng=rng, unit_norm=True)
+        t = verify.random_member(ctx, rng, unit_norm=True)
+        s = verify.random_member(ctx, rng, unit_norm=True)
         lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
         wt = generalized_radius(ctx, A_NORM, t)
         ws = generalized_radius(ctx, A_NORM, s)

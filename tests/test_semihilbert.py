@@ -105,10 +105,10 @@ class TestRangeBlockEquivalence:
     @given(exp=st.floats(-150.0, 150.0), seed=st.integers(0, 2**32 - 1))
     def test_matches_n_by_n_formulas(self, n, rank, exp, seed):
         rng = np.random.default_rng(seed)
-        a = 10.0**exp * verify.random_psd(n, rank, rng=rng)
+        a = 10.0**exp * verify.random_psd(n, rank, rng)
         ctx = build_context(a)
         assert ctx.rank == rank
-        t = verify.random_member(ctx, rng=rng)
+        t = verify.random_member(ctx, rng)
         m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ref = semihilbert_formulas(a, t, m, ctx.rtol)
         bound = 8 * n * np.finfo(float).eps
@@ -156,6 +156,16 @@ class TestAInner:
         with pytest.raises(DimensionMismatchError):
             a_inner(identity_ctx2, np.ones(3), np.ones(2))
 
+    @pytest.mark.parametrize("x", [np.eye(2), np.ones((4, 1)), np.ones((1, 4)), 1.0])
+    def test_only_1d_vectors(self, x):
+        # a matrix is not read as its flattened entries: eye(2) has 4 of them
+        ctx = shnr.build_context(np.eye(4))
+        for args in ((x, np.ones(4)), (np.ones(4), x)):
+            with pytest.raises(DimensionMismatchError, match="1-dimensional"):
+                a_inner(ctx, *args)
+        with pytest.raises(DimensionMismatchError, match="1-dimensional"):
+            a_norm_vec(ctx, x)
+
     @given(
         arrays(np.float64, (4, 3), elements=st.floats(-3, 3)),
         arrays(np.float64, (4, 3), elements=st.floats(-3, 3)),
@@ -185,7 +195,7 @@ class TestMembership:
         ctx = make_ctx(4, 2, seed=3)
         rng = np.random.default_rng(17)
         for _ in range(1000):
-            assert is_member(ctx, verify.random_member(ctx, rng=rng))
+            assert is_member(ctx, verify.random_member(ctx, rng))
 
 
 class TestAAdjoint:
@@ -277,7 +287,7 @@ class TestStacks:
     @pytest.mark.parametrize("ctx", ctx_grid(4), ids=lambda c: f"n{c.dim}r{c.rank}")
     def test_stack_matches_matrix_by_matrix(self, ctx):
         rng = np.random.default_rng(42)
-        stack = np.stack([verify.random_member(ctx, rng=rng) for _ in range(5)])
+        stack = np.stack([verify.random_member(ctx, rng) for _ in range(5)])
         np.testing.assert_array_equal(compress(ctx, stack),
                                       [compress(ctx, m) for m in stack])
         np.testing.assert_allclose(a_operator_norm(ctx, stack),
@@ -296,7 +306,7 @@ class TestStacks:
         rng = np.random.default_rng(43)
         n = ctx.dim
         a = ctx.a
-        members = [verify.random_member(ctx, rng=rng) for _ in range(4)]
+        members = [verify.random_member(ctx, rng) for _ in range(4)]
         others = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                   for _ in range(4)]
         stack = np.stack(members + others)
@@ -385,8 +395,8 @@ class TestAOperatorNorm:
     @pytest.mark.parametrize("ctx", ctx_grid(7), ids=lambda c: f"n{c.dim}r{c.rank}")
     def test_submultiplicative_and_vector_bound(self, ctx):
         rng = np.random.default_rng(13)
-        t = verify.random_member(ctx, rng=rng)
-        s = verify.random_member(ctx, rng=rng)
+        t = verify.random_member(ctx, rng)
+        s = verify.random_member(ctx, rng)
         assert a_operator_norm(ctx, t @ s) <= (
             a_operator_norm(ctx, t) * a_operator_norm(ctx, s) + 1e-10
         )
@@ -459,10 +469,10 @@ class TestPredicates:
     @pytest.mark.parametrize("ctx", ctx_grid(9), ids=lambda c: f"n{c.dim}r{c.rank}")
     def test_constructed_classes_pass_their_predicates(self, ctx):
         rng = np.random.default_rng(19)
-        assert is_a_selfadjoint(ctx, verify.random_a_selfadjoint(ctx, rng=rng))
-        assert is_a_positive(ctx, verify.random_a_positive(ctx, rng=rng))
-        assert is_a_normal(ctx, verify.random_a_normal(ctx, rng=rng))
-        assert is_a_unitary(ctx, verify.random_a_unitary(ctx, rng=rng))
+        assert is_a_selfadjoint(ctx, verify.random_a_selfadjoint(ctx, rng))
+        assert is_a_positive(ctx, verify.random_a_positive(ctx, rng))
+        assert is_a_normal(ctx, verify.random_a_normal(ctx, rng))
+        assert is_a_unitary(ctx, verify.random_a_unitary(ctx, rng))
 
 
 SCALES = (1e-12, 1.0, 1e12)
@@ -485,11 +495,11 @@ class TestScaleFreeVerdicts:
         ctx, ctx_c = build_context(a), build_context(c * a)
         rng = np.random.default_rng(32)
         ops = {
-            "selfadjoint": verify.random_a_selfadjoint(ctx, rng=rng, unit_norm=True),
-            "positive": verify.random_a_positive(ctx, rng=rng, unit_norm=True),
-            "normal": verify.random_a_normal(ctx, rng=rng, unit_norm=True),
-            "unitary": verify.random_a_unitary(ctx, rng=rng),
-            "generic": verify.random_member(ctx, rng=rng, unit_norm=True),
+            "selfadjoint": verify.random_a_selfadjoint(ctx, rng, unit_norm=True),
+            "positive": verify.random_a_positive(ctx, rng, unit_norm=True),
+            "normal": verify.random_a_normal(ctx, rng, unit_norm=True),
+            "unitary": verify.random_a_unitary(ctx, rng),
+            "generic": verify.random_member(ctx, rng, unit_norm=True),
         }
         for name, t in ops.items():
             verdicts = {k: pred(ctx, t) for k, pred in CLASS_PREDICATES.items()}

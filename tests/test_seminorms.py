@@ -47,11 +47,11 @@ def _omega_cases():
         for rank in sorted({n, max(1, n - 1), (n + 1) // 2}):
             ctx = make_ctx(n, rank, seed=300 + 10 * n + rank)
             rng = np.random.default_rng(400 + 10 * n + rank)
-            t = verify.random_member(ctx, rng=rng, unit_norm=True)
-            u = verify.random_member(ctx, rng=rng, unit_norm=True)
+            t = verify.random_member(ctx, rng, unit_norm=True)
+            u = verify.random_member(ctx, rng, unit_norm=True)
             for kind, op in (
                 ("member", t),
-                ("normal", verify.random_a_normal(ctx, rng=rng, unit_norm=True)),
+                ("normal", verify.random_a_normal(ctx, rng, unit_norm=True)),
                 ("cube", np.linalg.matrix_power(t, 3)),
                 ("mix", t + 3.0 * (t @ u - u @ t)),
             ):
@@ -69,7 +69,7 @@ def _hermitian_stack(n, rank):
     |eigenvalue| is a pair +-1."""
     ctx = make_ctx(n, rank, seed=1000 + 10 * n + rank)
     rng = np.random.default_rng(1100 + 10 * n + rank)
-    ops = [verify.random_a_selfadjoint(ctx, rng=rng, unit_norm=True) for _ in range(3)]
+    ops = [verify.random_a_selfadjoint(ctx, rng, unit_norm=True) for _ in range(3)]
     if ctx.rank >= 2:
         vk = ctx.eigenvectors[:, ctx.dim - ctx.rank:][:, :3]
         d = np.array([1.0, -1.0, 0.3])[: vk.shape[1]]
@@ -232,7 +232,7 @@ class TestBigOmega:
         for n in (2, 3, 4):
             for k in range(10):
                 ctx = make_ctx(n, max(1, n - k % 2), seed=200 + 10 * n + k)
-                t = verify.random_member(ctx, rng=rng, unit_norm=True)
+                t = verify.random_member(ctx, rng, unit_norm=True)
                 assert om.evaluate(ctx, t) == pytest.approx(
                     big_omega_pair_form(ctx, t), abs=1e-4
                 )

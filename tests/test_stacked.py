@@ -44,8 +44,8 @@ def _mixed_stack(ctx, seed, k=7):
     """k members cycling through A-selfadjoint, general and zero."""
     rng = np.random.default_rng(seed)
     kinds = (
-        lambda: verify.random_a_selfadjoint(ctx, rng=rng, unit_norm=True),
-        lambda: verify.random_member(ctx, rng=rng, unit_norm=True),
+        lambda: verify.random_a_selfadjoint(ctx, rng, unit_norm=True),
+        lambda: verify.random_member(ctx, rng, unit_norm=True),
         lambda: np.zeros((ctx.dim, ctx.dim), dtype=complex),
     )
     return np.stack([kinds[i % 3]() for i in range(k)])

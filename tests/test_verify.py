@@ -58,8 +58,31 @@ class TestGenerators:
         ctx = make_ctx(4, 2, seed=2)
         rng = np.random.default_rng(3)
         assert all(
-            is_member(ctx, verify.random_member(ctx, rng=rng)) for _ in range(1000)
+            is_member(ctx, verify.random_member(ctx, rng)) for _ in range(1000)
         )
+
+    @pytest.mark.parametrize("name", [
+        "random_member", "random_a_selfadjoint", "random_a_positive",
+        "random_a_normal", "random_a_unitary",
+    ])
+    def test_seed_and_generator_give_one_draw(self, name):
+        # the one ``seed`` goes through np.random.default_rng, which hands a
+        # Generator back unchanged
+        ctx = make_ctx(4, 2, seed=5)
+        draw = getattr(verify, name)
+        for k in (0, 7):
+            want = draw(ctx, seed=k)
+            got = draw(ctx, seed=np.random.default_rng(k))
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+            assert (draw(ctx, np.random.SeedSequence(k)) == want).all()
+
+    def test_matrix_draws_take_the_same_seed(self):
+        for k in (0, 7):
+            for draw in (lambda s: verify.random_psd(4, 2, s),
+                         lambda s: verify.random_nilpotent(4, s)):
+                want = draw(k)
+                got = draw(np.random.default_rng(k))
+                assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
     def test_nilpotent_is_square_zero_unit(self):
         rng = np.random.default_rng(4)
@@ -277,6 +300,23 @@ class TestRunSuite:
         # the runner draws instance i from cell i % len(grid)
         with pytest.raises(ValueError, match="rank_profiles"):
             InstanceGenConfig(rank_profiles=())
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1),
+        ("seed", True),
+        ("seed", 4.0),
+        ("dims", (2.5,)),
+        ("dims", (True, 3)),
+        ("dims", ("3",)),
+        ("instances_per_check", 1.5),
+        ("instances_per_check", True),
+        ("rtol", 2.0),
+        ("rtol", 0.0),
+        ("rtol", float("nan")),
+    ])
+    def test_bad_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            InstanceGenConfig(**{field: value})
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
     def test_tol_rel_must_be_finite_and_nonnegative(self, tol):
