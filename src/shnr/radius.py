@@ -21,7 +21,8 @@ angles and takes an array of values back, the whole grid in one call and
 each refinement step as a one-angle array.  :func:`_profile`, the one
 angle-stack loop, hands the A-real parts cos(theta) Re_A T - sin(theta)
 Im_A T in stacks of at most ``linalg.STACK_BYTES`` to ``N.evaluate`` (the
-engine) or to a batched eigenvalue call (the level set).  One form is enough:
+engine) or to a batched eigenvalue call (the level set, which pairs each
+angle with its own member of a stack).  One form is enough:
 Im_A(e^{i theta} T) = -Re_A(e^{i (theta + pi/2)} T), so N of it is the profile
 a quarter-turn on.
 
@@ -32,7 +33,10 @@ Mengi & Overton (IMA J. Numer. Anal. 25, 2005) finds, at a level r, every
 angle where r is an eigenvalue of the Hermitian part of e^{i theta} T~,
 raises r to the largest eigenvalue at the midpoints of those angles, and
 stops when a level just above r has no crossing, which certifies r.  The
-seminorms that :mod:`shnr.seminorms` provides evaluate the generic
+level set takes a stack of matrices and runs them in lockstep, one batched
+call of each kind per pass for all of them, so the catalog solves the
+A-norm radii of many instances at once; each value is that of a lone call.
+The seminorms that :mod:`shnr.seminorms` provides evaluate the generic
 objective's A-real parts, which are A-selfadjoint, in closed form.
 """
 
@@ -44,7 +48,6 @@ import math
 import numpy as np
 
 from . import linalg, semihilbert
-from .linalg import herm
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _EPS = np.finfo(float).eps
@@ -173,14 +176,20 @@ def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndar
     return np.cos(thetas)[:, None, None] * r0 - np.sin(thetas)[:, None, None] * i0
 
 
-def _profile(fn, r0, i0, thetas):
+def _profile(fn, r0, i0, thetas, owner=None):
     """fn of cos(theta) r0 - sin(theta) i0 at each of a 1-D array of angles,
     one ``fn`` call per ``linalg.STACK_BYTES`` stack; ``fn`` maps a
-    (k, n, n) stack to k values."""
-    return np.concatenate([
-        fn(_theta_combos(r0, i0, thetas[sl]))
-        for sl in linalg.stack_slices(thetas.size, r0.nbytes)
-    ])
+    (k, n, n) stack to k values.  With ``owner``, r0 and i0 are (m, n, n)
+    stacks and angle j takes the pair r0[owner[j]], i0[owner[j]]."""
+    n = r0.shape[-1]
+    out = []
+    for sl in linalg.stack_slices(thetas.size, n * n * r0.itemsize):
+        if owner is None:
+            out.append(fn(_theta_combos(r0, i0, thetas[sl])))
+        else:
+            idx = owner[sl]
+            out.append(fn(_theta_combos(r0.take(idx, axis=0), i0.take(idx, axis=0), thetas[sl])))
+    return np.concatenate(out)
 
 
 def omega_a_fast(ctx, t) -> float:
@@ -209,8 +218,9 @@ _START = np.arange(8) * (math.pi / 8)
 _MAX_LEVELS = 64
 
 
-def _level_set_radius(m: np.ndarray) -> float:
-    """Numerical radius max |x* M x| over unit x of a square matrix M.
+def _level_set_radius(m: np.ndarray):
+    """Numerical radius max |x* M x| over unit x of a square matrix M, or
+    the k radii of a (k, n, n) stack as an array.
 
     With H(theta) the Hermitian part of e^{i theta} M, the radius is the
     maximum over theta of lam_max(H(theta)), and a level l is an eigenvalue
@@ -246,46 +256,112 @@ def _level_set_radius(m: np.ndarray) -> float:
       about 2n eps |C|_F, and a double eigenvalue (two crossings about to
       merge) moves by the square root of that.  Counting a near-circle
       eigenvalue that is not a crossing only adds a midpoint.
+
+    A stack runs its members in lockstep, in stacks whose 2n x 2n companion
+    matrices fit in ``linalg.STACK_BYTES``: each pass makes one batched SVD
+    (a second one only for the members that need the sqrt(eps) margin), one
+    batched companion eigenvalue call, and one batched Hermitian eigenvalue
+    call over the midpoints of every member, and a member leaves the stack
+    once it is certified.  Every member goes through the arithmetic of a
+    lone call, so its value does not depend on the stack it came in.
     """
-    n = m.shape[0]
-    if not m.any():
-        return 0.0
+    if m.ndim == 2:
+        return float(_lockstep(m[None])[0]) if m.any() else 0.0
+    n = m.shape[-1]
+    out = np.zeros(len(m))
+    # a zero member has radius 0 and no pencil; 16 bytes a complex entry
+    for sl in linalg.stack_slices(len(m), 16 * (2 * n) ** 2):
+        live = sl.start + np.flatnonzero(m[sl].any(axis=(1, 2)))
+        if live.size:
+            out[live] = _lockstep(m[live])
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _pencil_identities(n: int):
+    """The n x n identity and the level-set pencil's constant parts at size
+    n, dlead = 2 conj(a) I and drest = [2a I, 2(1 + |a|^2) I], read-only."""
+    a = _SHIFT
+    eye = np.eye(n)
+    dlead = 2.0 * a.conjugate() * eye
+    drest = np.hstack((2.0 * a * eye, 2.0 * (1.0 + abs(a) ** 2) * eye))
+    for x in (eye, dlead, drest):
+        x.flags.writeable = False
+    return eye, dlead, drest
+
+
+def _lockstep(m: np.ndarray) -> np.ndarray:
+    """:func:`_level_set_radius` of a (k, n, n) stack of non-zero matrices."""
+    k, n, _ = m.shape
     a = _SHIFT
     ac = a.conjugate()
-    mh = m.conj().T
-    h1 = herm(m)
+    mh = m.conj().swapaxes(1, 2)
+    h1 = (m + mh) / 2.0
     h2 = (m - mh) / 2.0j
-    eye = np.eye(n)
-    # B2 = lead - 2 l conj(a) I and [B0, B1] = rest - l drest
+    eye, dlead, drest = _pencil_identities(n)
+    # B2 = lead - l dlead and [B0, B1] = rest - l drest
     lead = m + ac * ac * mh
-    rest = np.hstack((a * a * m + mh, 2.0 * (a * m + ac * mh)))
-    drest = np.hstack((2.0 * a * eye, 2.0 * (1.0 + abs(a) ** 2) * eye))
-    comp = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    comp[:n, n:] = eye
+    rest = np.concatenate((a * a * m + mh, 2.0 * (a * m + ac * mh)), axis=2)
+    comp = np.zeros((k, 2 * n, 2 * n), dtype=np.complex128)
+    comp[:, :n, n:] = eye
     # |lam|_max of herm(e^{i theta} M): lam_max there or at theta + pi
-    r = float(_profile(linalg.hermitian_abs_max, h1, h2, _START).max())
-    fine = 2 * n * _EPS * float(np.linalg.norm(m)) / r
+    starts = _profile(linalg.hermitian_abs_max, h1, h2,
+                      _START[None].repeat(k, axis=0).ravel(), np.arange(k).repeat(_START.size))
+    r = np.maximum.reduce(starts.reshape(k, -1), axis=1)
+    grow = 1.0 + 2 * n * _EPS * np.array([np.linalg.norm(x) for x in m]) / r
     on_circle = math.sqrt(2 * n * _EPS)
+    out = np.empty(k)
+    ids = np.arange(k)          # the member of each row still running
     for _ in range(_MAX_LEVELS):
-        for margin in (fine, _SQRT_EPS):
-            level = r * (1.0 + margin)
-            u, s, vh = np.linalg.svd(lead - (2.0 * level * ac) * eye)
-            if s[-1] >= _SQRT_EPS * s[0]:
-                break
-        inv = vh.conj().T / np.maximum(s, _EPS * s[0])
-        comp[n:] = -inv @ (u.conj().T @ (rest - level * drest))
+        level = r * grow
+        u, s, vh = np.linalg.svd(lead - level[:, None, None] * dlead)
+        fit = s[:, -1] >= _SQRT_EPS * s[:, 0]
+        if np.count_nonzero(fit) < len(fit):
+            near = ~fit
+            level[near] = r[near] * (1.0 + _SQRT_EPS)
+            u[near], s[near], vh[near] = np.linalg.svd(
+                lead[near] - level[near, None, None] * dlead)
+        inv = vh.conj().swapaxes(1, 2) / np.maximum(s, _EPS * s[:, :1])[:, None]
+        comp[:, n:] = -inv @ (u.conj().swapaxes(1, 2) @ (rest - level[:, None, None] * drest))
         w = np.linalg.eigvals(comp)
-        w = w[np.abs(np.abs(w) - 1.0) <= on_circle * np.linalg.norm(comp)]
-        if not w.size:
-            return r
-        # arg z for each crossing w, and the midpoint of each arc between them
-        th = np.sort(np.angle(w + a) - np.angle(1.0 + ac * w))
-        mids = (th + np.append(th[1:], th[0] + 2.0 * math.pi)) / 2.0
-        best = float(_profile(linalg.hermitian_abs_max, h1, h2, mids).max())
-        if best <= level:
-            return max(r, best)
+        tol = np.array([on_circle * np.linalg.norm(c) for c in comp])
+        hit = np.abs(np.abs(w) - 1.0) <= tol[:, None]
+        # arg z of each crossing w, sorted, each row's crossings first and
+        # inf after them; the midpoint of each arc between crossings
+        th = np.empty((len(w), 2 * n + 1))
+        th[:, -1] = np.inf
+        z0, z1 = w + a, 1.0 + ac * w
+        arg = np.arctan2(z0.imag, z0.real) - np.arctan2(z1.imag, z1.real)
+        th[:, :-1] = np.where(hit, arg, np.inf)
+        th.sort(axis=1)
+        th, nxt = th[:, :-1], th[:, 1:]
+        mids = (th + np.where(nxt < np.inf, nxt, th[:, :1] + 2.0 * math.pi)) / 2.0
+        vals = -mids           # -inf where there is no midpoint
+        if np.count_nonzero(hit):
+            real = th < np.inf
+            vals[real] = _profile(linalg.hermitian_abs_max, h1, h2, mids[real],
+                                  real.nonzero()[0])
+        best = np.maximum.reduce(vals, axis=1)
+        # certified: no crossing (best is -inf), or no midpoint above the level
+        done = best <= level
+        finished = np.count_nonzero(done)
+        if finished == len(done):
+            out[ids] = np.maximum(r, best)
+            return out
+        if finished:
+            out[ids[done]] = np.maximum(r[done], best[done])
+            go = ~done
+            ids, best, grow, lead, rest, comp, h1, h2 = (
+                x[go] for x in (ids, best, grow, lead, rest, comp, h1, h2))
         r = best
-    return r
+    out[ids] = r
+    return out
+
+
+def _on_level_set(seminorm) -> bool:
+    """Whether the radius under ``seminorm`` is omega_A, which the level set
+    computes from the range block: the plain A-operator seminorm."""
+    return getattr(seminorm, "id", None) == "a_norm"
 
 
 def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
@@ -309,7 +385,7 @@ def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
     t = semihilbert.require_member(ctx, t)
     if not t.any():
         return (0.0, 0.0) if with_error_bound else 0.0
-    a_norm = getattr(seminorm, "id", None) == "a_norm"
+    a_norm = _on_level_set(seminorm)
     if a_norm:
         val = _level_set_radius(semihilbert._range_block(ctx, t))
         if not with_error_bound:

@@ -10,6 +10,12 @@ is invertible), evaluates both sides, and reports per-check violation
 counts, the minimum slack (how close the bound came to equality, i.e.
 sharpness), and the worst witness instance in replayable form.
 
+Evaluators ask for their generalized radii by yielding a request, and one
+driver (:func:`_drive`) runs the evaluators of a chunk of instances in
+lockstep: it gathers their requests and solves every A-norm radius among
+them in one stacked level-set call per range-block size, so the catalog
+pays the level set's fixed cost per chunk, not per radius.
+
 Slack bookkeeping: for an obligation lhs <= rhs the relative slack is
 (rhs - lhs) / max(rhs, 1e-300); equalities use the symmetric deviation
 -|lhs - rhs| / max(|lhs|, |rhs|, 1e-300).  An instance counts as a
@@ -25,6 +31,7 @@ descriptor's declared property flags.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -310,6 +317,10 @@ class InstanceGenConfig:
         for p in self.rank_profiles:
             if p not in _PROFILE_RANKS:
                 raise ValueError(f"unknown rank profile {p!r}")
+        # the report echoes these fields, and JSON takes Python ints only
+        self.seed = int(self.seed)
+        self.dims = tuple(int(n) for n in self.dims)
+        self.instances_per_check = int(self.instances_per_check)
 
 
 @dataclass
@@ -343,6 +354,13 @@ def _slack(kind: str, lhs: float, rhs: float) -> float:
 
 # ---------------------------------------------------------------------------
 # evaluators: one per check, shared helpers first
+#
+# An evaluator maps (ctx, mats, n_desc) to an InstanceOutcome.  One that
+# needs generalized radii is a generator: it yields one request, ``_w(N,
+# T1, T2, ...)`` or a sum of such tuples, and the runner sends back the
+# radii w_N(T1), w_N(T2), ... as a tuple in the same order, then takes the
+# outcome it returns.  The runner collects the requests of many instances
+# and solves every A-norm radius among them in stacked level-set calls.
 
 #: Angle grid of every radius in a suite run (echoed in the report).
 _THETA_GRID = 180
@@ -355,10 +373,13 @@ _GRIDS = {
 #: Grid of the C02/C07 sweeps, in 2 theta over [0, pi): the 64 angles
 #: theta = k pi / 64 of the A-real profile.
 _SWEEP_GRID = 32
+#: The seminorm whose radius is omega_A, for checks that compare with it.
+_A_NORM = seminorms.a_norm_seminorm()
 
 
-def _w(ctx, n_desc, t):
-    return radius.generalized_radius(ctx, n_desc, t, _THETA_GRID)
+def _w(n_desc, *ops):
+    """A request for the radius w_N of each operand, for an evaluator to yield."""
+    return tuple((n_desc, t) for t in ops)
 
 
 def _re_im_sweep(ctx, n_desc, r0, i0, combine):
@@ -378,7 +399,7 @@ def _re_im_sweep(ctx, n_desc, r0, i0, combine):
 
 def _eval_c01(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
+    (w,) = yield _w(n_desc, t)
     _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     lhs = n_desc.evaluate(ctx, t) / 2 + abs(
         n_desc.evaluate(ctx, r0) - n_desc.evaluate(ctx, i0)
@@ -388,7 +409,7 @@ def _eval_c01(ctx, mats, n_desc):
 
 def _eval_c02(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
+    (w,) = yield _w(n_desc, t)
     _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     sup_gap = _re_im_sweep(ctx, n_desc, r0, i0, lambda re, im: np.abs(re - im))
     lhs = n_desc.evaluate(ctx, t) / 2 + sup_gap / 2
@@ -398,7 +419,7 @@ def _eval_c02(ctx, mats, n_desc):
 def _eval_c03(ctx, mats, n_desc):
     # also C17, the same bounds under the A-norm on sharpness constructions
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
+    (w,) = yield _w(n_desc, t)
     nt = n_desc.evaluate(ctx, t)
     pairs = [(nt / 2, w)]
     if n_desc.selfadjoint_invariant:
@@ -408,18 +429,17 @@ def _eval_c03(ctx, mats, n_desc):
 
 def _eval_c04(ctx, mats, n_desc):
     t = mats["T"]
-    w_t = _w(ctx, n_desc, t)
-    pairs = [(w_t, _w(ctx, n_desc, a_adjoint(ctx, t)))]
+    ops = [t, a_adjoint(ctx, t)]
     if n_desc.base_id == "a_norm" and "U" in mats:
         u = mats["U"]
-        conj = a_adjoint(ctx, u) @ t @ u
-        pairs.append((_w(ctx, n_desc, conj), w_t))
-    return InstanceOutcome(pairs)
+        ops.append(a_adjoint(ctx, u) @ t @ u)
+    w_t, w_adj, *w_conj = yield _w(n_desc, *ops)
+    return InstanceOutcome([(w_t, w_adj)] + [(w, w_t) for w in w_conj])
 
 
 def _eval_c05(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
+    (w,) = yield _w(n_desc, t)
     c, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     q = n_desc.evaluate(ctx, c @ t + t @ c)
     gap = abs(n_desc.evaluate(ctx, r0) ** 2 - n_desc.evaluate(ctx, i0) ** 2)
@@ -428,7 +448,7 @@ def _eval_c05(ctx, mats, n_desc):
 
 def _eval_c06(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
+    (w,) = yield _w(n_desc, t)
     c = a_adjoint(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
     pairs = [(math.sqrt(q) / 2, w)]
@@ -439,7 +459,7 @@ def _eval_c06(ctx, mats, n_desc):
 
 def _eval_c07(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
+    (w,) = yield _w(n_desc, t)
     _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     rhs_plain = math.hypot(n_desc.evaluate(ctx, r0), n_desc.evaluate(ctx, i0))
     neg_inf = _re_im_sweep(ctx, n_desc, r0, i0, lambda re, im: -np.hypot(re, im))
@@ -448,101 +468,85 @@ def _eval_c07(ctx, mats, n_desc):
 
 def _eval_c08(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
+    w, w2 = yield _w(n_desc, t, t @ t)
     c = a_adjoint(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
-    w2 = _w(ctx, n_desc, t @ t)
     return InstanceOutcome([(w, math.sqrt(0.5 * w2 + 0.25 * q))])
 
 
 def _eval_c09(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
+    w, w2 = yield _w(n_desc, t, t @ t)
     c = a_adjoint(ctx, t)
     q = n_desc.evaluate(ctx, c @ t + t @ c)
-    w2 = _w(ctx, n_desc, t @ t)
     return InstanceOutcome([(w, (q * q / 8 + w2 * w2 / 2) ** 0.25)])
 
 
 def _eval_c10(ctx, mats, n_desc):
     # also C25, the same identity on A-normal T under Omega_A
     t = mats["T"]
-    return InstanceOutcome([(_w(ctx, n_desc, t), n_desc.evaluate(ctx, t))])
+    (w,) = yield _w(n_desc, t)
+    return InstanceOutcome([(w, n_desc.evaluate(ctx, t))])
 
 
 def _eval_c11(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
-    return InstanceOutcome(
-        [
-            (w, _w(ctx, n_desc, ctx.proj @ t)),
-            (w, _w(ctx, n_desc, t @ ctx.proj)),
-        ]
-    )
+    w, w_pt, w_tp = yield _w(n_desc, t, ctx.proj @ t, t @ ctx.proj)
+    return InstanceOutcome([(w, w_pt), (w, w_tp)])
 
 
 def _eval_c12(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
-    w_ts = _w(ctx, n_desc, t @ s)
     ts_adj = a_adjoint(ctx, t)
     ss_adj = a_adjoint(ctx, s)
     n_t = n_desc.evaluate(ctx, t)
     n_s = n_desc.evaluate(ctx, s)
-    w_t = _w(ctx, n_desc, t)
-    w_s = _w(ctx, n_desc, s)
+    w_ts, w_t, w_s, *w_mixed = yield _w(
+        n_desc, t @ s, t, s,
+        *(t @ s + sgn * op for sgn in (1.0, -1.0) for op in (s @ ts_adj, ss_adj @ t)),
+    )
     pairs = []
-    for sgn in (1.0, -1.0):
-        pairs.append(
-            (w_ts, n_t * w_s + 0.5 * _w(ctx, n_desc, t @ s + sgn * (s @ ts_adj)))
-        )
-        pairs.append(
-            (w_ts, n_s * w_t + 0.5 * _w(ctx, n_desc, t @ s + sgn * (ss_adj @ t)))
-        )
+    for w_left, w_right in zip(w_mixed[::2], w_mixed[1::2]):
+        pairs += [(w_ts, n_t * w_s + 0.5 * w_left), (w_ts, n_s * w_t + 0.5 * w_right)]
     return InstanceOutcome(pairs)
 
 
 def _eval_c13(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
     ts_adj = a_adjoint(ctx, t)
-    bound = 2 * n_desc.evaluate(ctx, t) * _w(ctx, n_desc, s)
-    pairs = [
-        (_w(ctx, n_desc, t @ s + sgn * (s @ ts_adj)), bound)
-        for sgn in (1.0, -1.0)
-    ]
-    return InstanceOutcome(pairs)
+    w_s, *w_mixed = yield _w(
+        n_desc, s, *(t @ s + sgn * (s @ ts_adj) for sgn in (1.0, -1.0))
+    )
+    bound = 2 * n_desc.evaluate(ctx, t) * w_s
+    return InstanceOutcome([(w, bound) for w in w_mixed])
 
 
 def _eval_c14(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
-    w_t = _w(ctx, n_desc, t)
-    w_s = _w(ctx, n_desc, s)
+    w_t, w_s, w_ts = yield _w(n_desc, t, s, t @ s)
     mid = 2 * min(w_t * n_desc.evaluate(ctx, s), w_s * n_desc.evaluate(ctx, t))
-    return InstanceOutcome([(_w(ctx, n_desc, t @ s), mid), (mid, 4 * w_t * w_s)])
+    return InstanceOutcome([(w_ts, mid), (mid, 4 * w_t * w_s)])
 
 
 def _eval_c15(ctx, mats, n_desc):
     t, s, x = mats["T"], mats["S"], mats["X"]
     ts_adj = a_adjoint(ctx, t)
     ss_adj = a_adjoint(ctx, s)
-    bound = 2 * n_desc.evaluate(ctx, t) * n_desc.evaluate(ctx, s) * _w(ctx, n_desc, x)
-    pairs = [
-        (_w(ctx, n_desc, t @ x @ s + sgn * (ss_adj @ x @ ts_adj)), bound)
-        for sgn in (1.0, -1.0)
-    ]
-    return InstanceOutcome(pairs)
+    w_x, *w_mixed = yield _w(
+        n_desc, x,
+        *(t @ x @ s + sgn * (ss_adj @ x @ ts_adj) for sgn in (1.0, -1.0)),
+    )
+    bound = 2 * n_desc.evaluate(ctx, t) * n_desc.evaluate(ctx, s) * w_x
+    return InstanceOutcome([(w, bound) for w in w_mixed])
 
 
 def _eval_c16(ctx, mats, n_desc):
     t = mats["T"]
     x = mats["X"]
     ts_adj = a_adjoint(ctx, t)
-    bound = n_desc.evaluate(ctx, t) ** 2 * _w(ctx, n_desc, x)
-    return InstanceOutcome(
-        [
-            (_w(ctx, n_desc, t @ x @ ts_adj), bound),
-            (_w(ctx, n_desc, ts_adj @ x @ t), bound),
-        ]
-    )
+    w_x, w_txt, w_ttx = yield _w(n_desc, x, t @ x @ ts_adj, ts_adj @ x @ t)
+    bound = n_desc.evaluate(ctx, t) ** 2 * w_x
+    return InstanceOutcome([(w_txt, bound), (w_ttx, bound)])
 
 
 def _eval_c18(ctx, mats, n_desc):
@@ -577,7 +581,8 @@ def _eval_c20(ctx, mats, n_desc):
 
 def _eval_c21(ctx, mats, n_desc):
     t = mats["T"]
-    return InstanceOutcome([(_w(ctx, n_desc, t), radius.omega_a_fast(ctx, t))])
+    w, w_a = yield _w(n_desc, t) + _w(_A_NORM, t)
+    return InstanceOutcome([(w, w_a)])
 
 
 def _eval_c22(ctx, mats, n_desc):
@@ -595,16 +600,18 @@ def _eval_c23(ctx, mats, n_desc):
 
 def _eval_c24(ctx, mats, n_desc):
     t = mats["T"]
-    return InstanceOutcome([(_w(ctx, n_desc, t), _SQRT2 * radius.omega_a_fast(ctx, t))])
+    w, w_a = yield _w(n_desc, t) + _w(_A_NORM, t)
+    return InstanceOutcome([(w, _SQRT2 * w_a)])
 
 
 def _eval_c26(ctx, mats, n_desc):
     t = mats["T"]
     target = 2 * _SQRT2
+    (w,) = yield _w(n_desc, t)
     return InstanceOutcome(
         [
             (n_desc.evaluate(ctx, t), target),
-            (_w(ctx, n_desc, t), target),
+            (w, target),
             (seminorms.big_omega_pair_form(ctx, t), target),
         ]
     )
@@ -612,7 +619,7 @@ def _eval_c26(ctx, mats, n_desc):
 
 def _eval_c27(ctx, mats, n_desc):
     t = mats["T"]
-    w = _w(ctx, n_desc, t)
+    (w,) = yield _w(n_desc, t)
     nt = n_desc.evaluate(ctx, t)
     c, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
     q = n_desc.evaluate(ctx, c @ t + t @ c)
@@ -891,15 +898,135 @@ def _witness_dict(n_desc, dim, profile, idx, slack, lhs, rhs, a_mat, mats):
     }
 
 
-def _run_one_instance(spec, cfg, grid, sems, idx):
-    dim, profile = grid[idx % len(grid)]
-    n_desc = sems[(idx // len(grid)) % len(sems)]
-    rng = np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, int(spec.id[1:]), idx])
-    )
-    ctx, mats = spec.generator(dim, profile, rng, cfg.rtol, idx)
-    outcome = spec.evaluator(ctx, mats, n_desc)
-    return dim, profile, n_desc, ctx, mats, outcome
+#: What marks one instance incomplete instead of stopping the run.
+_INSTANCE_ERRORS = (ShnrError, np.linalg.LinAlgError)
+
+
+def _solve(asks):
+    """Answer radius requests: ``asks`` maps an instance key to its context
+    and the request its evaluator yielded; the result maps each key to the
+    tuple of radii or to the error that made the instance fail.
+
+    Each instance's A-norm operands pass one stacked membership check and
+    become range blocks; the blocks of all instances are grouped by size
+    and each group is one stacked level-set call.  Radii under other
+    seminorms go one at a time through ``radius.generalized_radius``.  When
+    a stacked level-set call raises ``LinAlgError``, its group is solved
+    again one instance at a time, so only a failing instance fails.
+    """
+    got, groups = {}, {}
+    for key, (ctx, request) in asks.items():
+        level_set = [j for j, (n_desc, _) in enumerate(request) if radius._on_level_set(n_desc)]
+        try:
+            if level_set:
+                blocks = semihilbert._member_block(
+                    ctx, np.stack([request[j][1] for j in level_set])
+                )
+            radii = [
+                None if j in level_set
+                else radius.generalized_radius(ctx, n_desc, t, _THETA_GRID)
+                for j, (n_desc, t) in enumerate(request)
+            ]
+        except _INSTANCE_ERRORS as exc:
+            got[key] = exc
+            continue
+        got[key] = radii
+        if level_set:
+            groups.setdefault(blocks.shape[-1], []).append((key, level_set, blocks))
+    for group in groups.values():
+        try:
+            flat = radius._level_set_radius(np.concatenate([b for _, _, b in group]))
+            solved = np.split(flat, np.cumsum([len(b) for _, _, b in group])[:-1])
+        except np.linalg.LinAlgError:
+            solved = [_level_set_or_error(b) for _, _, b in group]
+        for (key, level_set, _), vals in zip(group, solved):
+            if isinstance(vals, Exception):
+                got[key] = vals
+                continue
+            for j, v in zip(level_set, vals):
+                got[key][j] = float(v)
+    return {key: v if isinstance(v, Exception) else tuple(v) for key, v in got.items()}
+
+
+def _level_set_or_error(blocks):
+    try:
+        return radius._level_set_radius(blocks)
+    except np.linalg.LinAlgError as exc:
+        return exc
+
+
+def _drive(spec, instances):
+    """Run ``spec.evaluator`` on each (ctx, mats, n_desc) of ``instances``
+    in lockstep and return, per instance, its InstanceOutcome or the error
+    (``ShnrError`` or ``LinAlgError``) that made it incomplete.
+
+    Every evaluator is called once.  Those that yield radius requests run
+    to their request; the requests of all instances are solved together
+    (:func:`_solve`), each generator gets its radii back, and the round
+    repeats until every evaluator has returned.
+    """
+    out = [None] * len(instances)
+    gens = {}
+    for i, (ctx, mats, n_desc) in enumerate(instances):
+        try:
+            got = spec.evaluator(ctx, mats, n_desc)
+        except _INSTANCE_ERRORS as exc:
+            got = exc
+        if isinstance(got, (InstanceOutcome, Exception)):
+            out[i] = got
+        else:
+            gens[i] = got
+    sent = dict.fromkeys(gens)
+    while gens:
+        asks = {}
+        for i, value in sent.items():
+            try:
+                asks[i] = (instances[i][0], gens[i].send(value))
+            except StopIteration as stop:
+                out[i] = stop.value
+                del gens[i]
+            except _INSTANCE_ERRORS as exc:
+                out[i] = exc
+                del gens[i]
+        sent = _solve(asks)
+        for i, value in list(sent.items()):
+            if isinstance(value, Exception):
+                out[i] = value
+                del gens[i], sent[i]
+    return out
+
+
+def _evaluate(spec, ctx, mats, n_desc) -> InstanceOutcome:
+    """One instance through :func:`_drive`; its error, if any, is raised."""
+    (got,) = _drive(spec, [(ctx, mats, n_desc)])
+    if isinstance(got, Exception):
+        raise got
+    return got
+
+
+def _run_chunk(spec, cfg, grid, sems, idxs):
+    """Draw instances ``idxs`` of a check and evaluate them together: per
+    instance [idx, dim, profile, n_desc, ctx, mats, outcome], the outcome
+    an InstanceOutcome or the error that made the instance incomplete."""
+    rows, instances = [], []
+    for idx in idxs:
+        dim, profile = grid[idx % len(grid)]
+        n_desc = sems[(idx // len(grid)) % len(sems)]
+        rng = np.random.default_rng(
+            np.random.SeedSequence([cfg.seed, int(spec.id[1:]), idx])
+        )
+        try:
+            ctx, mats = spec.generator(dim, profile, rng, cfg.rtol, idx)
+        except _INSTANCE_ERRORS as exc:
+            rows.append([idx, dim, profile, n_desc, None, None, exc])
+            continue
+        rows.append([idx, dim, profile, n_desc, ctx, mats, None])
+        instances.append((ctx, mats, n_desc))
+    outcomes = iter(_drive(spec, instances))
+    for row in rows:
+        if row[6] is None:
+            row[6] = next(outcomes)
+    return rows
 
 
 def run_suite(
@@ -943,23 +1070,21 @@ def run_suite(
         if spec.max_instances is not None:
             total = min(total, spec.max_instances)
 
-        def work(idx, _spec=spec, _sems=sems):
-            try:
-                return idx, _run_one_instance(_spec, cfg, grid, _sems, idx), None
-            except (ShnrError, np.linalg.LinAlgError) as exc:
-                return idx, None, f"{type(exc).__name__}: {exc}"
-
+        # contiguous chunks, one a thread: every radius's value is that of
+        # a lone call, so the bytes do not depend on the split
+        bounds = [total * j // threads for j in range(threads + 1)]
+        chunks = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        run = functools.partial(_run_chunk, spec, cfg, grid, sems)
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                raw = list(pool.map(work, range(total)))
+                parts = list(pool.map(run, chunks))
         else:
-            raw = [work(i) for i in range(total)]
+            parts = [run(chunk) for chunk in chunks]
 
-        for idx, payload, err in raw:
-            if err is not None:
+        for idx, dim, profile, n_desc, ctx, mats, outcome in itertools.chain(*parts):
+            if isinstance(outcome, Exception):
                 res.incomplete += 1
                 continue
-            dim, profile, n_desc, ctx, mats, outcome = payload
             res.instances_run += 1
             if outcome.premise_held:
                 res.premise_held += 1
@@ -1019,5 +1144,5 @@ def replay_witness(report: dict, check_id: str) -> float:
     mats = {k: serialize.matrix_from_dict(v) for k, v in wit["matrices"].items()}
     ctx = build_context(mats.pop("A"), conf["rtol"])
     n_desc = seminorms.seminorm_by_name(wit["seminorm"], wit["alpha"])
-    outcome = spec.evaluator(ctx, mats, n_desc)
+    outcome = _evaluate(spec, ctx, mats, n_desc)
     return min(_slack(spec.kind, float(l), float(r)) for l, r in outcome.pairs)

@@ -6,7 +6,10 @@ sampling, direct vector ascent, a dense coefficient grid by SVD, one
 evaluator call per angle, an angle grid with golden-section refinement, a
 dense angle grid, n x n pseudoinverse formulas in place of the range
 block) so that agreement is evidence, not tautology.
-They are deliberately slow and simple.
+They are deliberately slow and simple.  One is not an oracle but a
+reference: :func:`level_set_loop` is the level-set radius one matrix at a
+time, the loop that the stacked kernel replaced, kept so that the stacked
+kernel's arithmetic can be held to it bit for bit.
 """
 
 import math
@@ -261,3 +264,49 @@ def dense_grid_radius(tt: np.ndarray, angles: int = 20000) -> float:
                                - np.sin(thetas)[:, None, None] * h2)
         best = max(best, float(np.abs(w).max()))
     return best
+
+
+def level_set_loop(m: np.ndarray) -> float:
+    """The level-set numerical radius of one matrix, as a loop of passes on
+    that matrix alone (see ``radius._level_set_radius`` for the method and
+    its tolerances)."""
+    n = m.shape[0]
+    if not m.any():
+        return 0.0
+    eps = np.finfo(float).eps
+    a = 0.5 * np.exp(1j)
+    ac = a.conjugate()
+    mh = m.conj().T
+    h1 = herm(m)
+    h2 = (m - mh) / 2.0j
+    eye = np.eye(n)
+    lead = m + ac * ac * mh
+    rest = np.hstack((a * a * m + mh, 2.0 * (a * m + ac * mh)))
+    drest = np.hstack((2.0 * a * eye, 2.0 * (1.0 + abs(a) ** 2) * eye))
+    comp = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    comp[:n, n:] = eye
+
+    def abs_max(thetas):
+        return float(linalg.hermitian_abs_max(_theta_combos(h1, h2, thetas)).max())
+
+    r = abs_max(np.arange(8) * (math.pi / 8))
+    fine = 2 * n * eps * float(np.linalg.norm(m)) / r
+    on_circle = math.sqrt(2 * n * eps)
+    for _ in range(64):
+        for margin in (fine, math.sqrt(eps)):
+            level = r * (1.0 + margin)
+            u, s, vh = np.linalg.svd(lead - (2.0 * level * ac) * eye)
+            if s[-1] >= math.sqrt(eps) * s[0]:
+                break
+        inv = vh.conj().T / np.maximum(s, eps * s[0])
+        comp[n:] = -inv @ (u.conj().T @ (rest - level * drest))
+        w = np.linalg.eigvals(comp)
+        w = w[np.abs(np.abs(w) - 1.0) <= on_circle * np.linalg.norm(comp)]
+        if not w.size:
+            return r
+        th = np.sort(np.angle(w + a) - np.angle(1.0 + ac * w))
+        best = abs_max((th + np.append(th[1:], th[0] + 2.0 * math.pi)) / 2.0)
+        if best <= level:
+            return max(r, best)
+        r = best
+    return r

@@ -1,10 +1,14 @@
-"""The stacked evaluator contract and the batched angle loop.
+"""The stacked evaluator contract, the batched angle loop and the stacked
+level set.
 
 A seminorm's ``evaluate`` takes one operator or a (k, n, n) stack; the
 generic branch of ``generalized_radius`` hands it the angle grid as stacks
 of at most ``linalg.STACK_BYTES``.  Stacked values must match per-matrix
 values, a stack is rejected if any matrix is a non-member, and the radius
-must match the per-angle loop kept in ``tests/oracles.py``.
+must match the per-angle loop kept in ``tests/oracles.py``.  The level set
+takes a (k, n, n) stack too, and each of its values must be that of a
+one-matrix call and of the one-matrix loop in ``tests/oracles.py``, bit for
+bit.
 """
 
 import dataclasses
@@ -25,11 +29,11 @@ from shnr import (
     omega_a_fast,
     verify,
 )
-from shnr import linalg
+from shnr import linalg, radius
 from shnr.semihilbert import require_member
 from conftest import make_ctx, refine_step_cap
 
-from oracles import per_angle_radius
+from oracles import level_set_loop, per_angle_radius
 
 DESCRIPTORS = {
     "a_norm": a_norm_seminorm(),
@@ -195,3 +199,69 @@ class TestStackMemory:
         want = (omega_a_fast(ctx, t), big_omega_seminorm().evaluate(ctx, t))
         _small_stacks(monkeypatch, 5, 4)
         assert (omega_a_fast(ctx, t), big_omega_seminorm().evaluate(ctx, t)) == want
+
+
+def _level_set_members(n, k, seed):
+    """k n x n matrices cycling through Ginibre, zero, diagonal with tied
+    moduli (a kinked maximum over the angle), Jordan (a disk for W, so a
+    singular pencil at the answer), a Jordan block plus a shift just past
+    half its radius, and rank-one square-zero members."""
+    rng = np.random.default_rng(seed)
+
+    def ginibre():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    def unitary():
+        return np.linalg.qr(ginibre())[0]
+
+    def jordan():
+        return rng.uniform(0.5, 2.0) * np.diag(np.ones(n - 1), 1).astype(complex)
+
+    def shifted_jordan():
+        q = unitary()
+        shift = (0.5 + 1e-9) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        return q @ (np.diag(np.ones(n - 1), 1) + shift * np.eye(n)) @ q.conj().T
+
+    def square_zero():
+        x, y = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        y = y - x * (x.conj() @ y) / (x.conj() @ x)
+        return np.outer(x, y.conj())
+
+    kinds = (
+        ginibre,
+        lambda: np.zeros((n, n), dtype=complex),
+        lambda: np.diag(rng.choice([1.0, -1.0, 1j, -1j], n)).astype(complex),
+        jordan,
+        shifted_jordan,
+        square_zero,
+    )
+    return np.stack([kinds[i % len(kinds)]() for i in range(k)])
+
+
+def _assert_bits_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert (got.view(np.uint64) == want.view(np.uint64)).all(), got - want
+
+
+class TestStackedLevelSet:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16])
+    def test_members_match_one_matrix_calls(self, n):
+        for k in range(1, 13):
+            m = _level_set_members(n, k, seed=100 * n + k)
+            got = radius._level_set_radius(m)
+            assert got.shape == (k,)
+            _assert_bits_equal(got, [radius._level_set_radius(x) for x in m])
+            _assert_bits_equal(got, [level_set_loop(x) for x in m])
+
+    def test_group_over_several_stacks(self):
+        # 16 members of 8 x 8 fill one stack of 16 x 16 companion matrices
+        n, k = 8, 40
+        assert len(linalg.stack_slices(k, 16 * (2 * n) ** 2)) == 3
+        m = _level_set_members(n, k, seed=808)
+        _assert_bits_equal(radius._level_set_radius(m), [level_set_loop(x) for x in m])
+
+    def test_one_matrix_gives_a_float(self):
+        m = _level_set_members(3, 1, seed=5)[0]
+        assert type(radius._level_set_radius(m)) is float
+        assert radius._level_set_radius(np.zeros((3, 3))) == 0.0
+        assert radius._level_set_radius(np.zeros((0, 3, 3))).shape == (0,)

@@ -141,7 +141,7 @@ class TestAngleSweeps:
         ctx = make_ctx(n, 2, seed=50)
         t = verify.random_member(ctx, seed=51, unit_norm=True)
         spec = {s.id: s for s in catalog()}[check_id]
-        spec.evaluator(ctx, {"T": t}, desc)
+        verify._evaluate(spec, ctx, {"T": t}, desc)
         sweep = verify._SWEEP_GRID
         grid = [s for s in shapes if s == (2 * sweep, n, n)]
         steps = [s for s in shapes if s == (2, n, n)]
@@ -162,7 +162,8 @@ class TestC27Scale:
         spec = {s.id: s for s in catalog()}["C27"]
         rng = np.random.default_rng(np.random.SeedSequence([42, 27, idx]))
         ctx, mats = spec.generator(3, "full", rng, verify.DEFAULT_RTOL, idx)
-        outcomes = [spec.evaluator(ctx, {"T": c * mats["T"]}, desc) for c in (1e-8, 1.0, 1e8)]
+        outcomes = [verify._evaluate(spec, ctx, {"T": c * mats["T"]}, desc)
+                    for c in (1e-8, 1.0, 1e8)]
         # the engineered instance attains the A-norm's lower bound; these noise ones none
         assert [o.premise_held for o in outcomes] == [idx == 0 and desc.id == "a_norm"] * 3
         slacks = [[verify._slack(spec.kind, l, r) for l, r in o.pairs] for o in outcomes]
@@ -326,6 +327,96 @@ class TestRunSuite:
         assert InstanceGenConfig(tol_rel=0.0).tol_rel == 0.0
 
 
+class TestNumpyIntegerConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("seed", np.int64(3)),
+        ("dims", (np.int64(2),)),
+        ("instances_per_check", np.int32(1)),
+    ])
+    def test_report_round_trips_through_json(self, field, value):
+        plain = {"seed": 3, "dims": (2,), "instances_per_check": 1}
+        want = serialize.dump_report(run_suite(InstanceGenConfig(**plain), only=["C18"]).to_dict())
+        cfg = InstanceGenConfig(**{**plain, field: value})
+        got = serialize.dump_report(run_suite(cfg, only=["C18"]).to_dict())
+        assert got == want
+        assert json.loads(got)["config"][field] == json.loads(want)["config"][field]
+
+
+def _non_member(ctx):
+    """Maps a kernel vector of A onto a range vector, so it has no A-adjoint."""
+    return np.outer(ctx.eigenvectors[:, -1], ctx.eigenvectors[:, 0].conj())
+
+
+class TestFailureIsolation:
+    """Instances are evaluated together and their A-norm radii solved in
+    shared stacked calls; one failing instance must still be the only one
+    marked incomplete, and the others' obligations must not change."""
+
+    BAD = 5                      # an "n-1" cell: A has a kernel
+
+    @staticmethod
+    def _instances(spec, count):
+        out = []
+        for idx in range(count):
+            rng = np.random.default_rng(np.random.SeedSequence([42, int(spec.id[1:]), idx]))
+            profile = ("full", "n-1")[idx % 2]
+            ctx, mats = spec.generator(3, profile, rng, verify.DEFAULT_RTOL, idx)
+            out.append((ctx, mats, shnr.a_norm_seminorm()))
+        return out
+
+    @pytest.mark.parametrize("failure", ["non-member", "solver"])
+    @pytest.mark.parametrize("check_id", ["C12", "C14", "C21"])
+    def test_only_the_failing_instance_fails(self, monkeypatch, check_id, failure):
+        spec = {s.id: s for s in catalog()}[check_id]
+        instances = self._instances(spec, 12)
+        if check_id == "C21":
+            instances = [(c, m, shnr.a_alpha_seminorm(0.5)) for c, m, _ in instances]
+        want = verify._drive(spec, instances)
+        ctx, mats, desc = instances[self.BAD]
+        if failure == "non-member":
+            bad_t = mats["T"] + _non_member(ctx)
+            error = shnr.NotMemberError
+        else:
+            # a member, but the patched solver fails on any stack holding it
+            bad_t = 1e3 * mats["T"]
+            error = np.linalg.LinAlgError
+            exact = shnr.radius._level_set_radius
+
+            def failing(m):
+                if np.abs(m).max() > 100.0:
+                    raise np.linalg.LinAlgError("injected")
+                return exact(m)
+
+            monkeypatch.setattr(shnr.radius, "_level_set_radius", failing)
+        instances[self.BAD] = (ctx, {**mats, "T": bad_t}, desc)
+        got = verify._drive(spec, instances)
+        assert isinstance(got[self.BAD], error)
+        for i, (g, w) in enumerate(zip(got, want)):
+            if i != self.BAD:
+                assert g.pairs == w.pairs, i
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_suite_marks_one_instance_incomplete(self, monkeypatch, threads):
+        cfg = InstanceGenConfig(dims=(3,), rank_profiles=("full", "n-1"),
+                                instances_per_check=12, seed=42)
+        plain = catalog()
+        spec = next(s for s in plain if s.id == "C14")
+
+        def generator(n, profile, rng, rtol, idx):
+            ctx, mats = spec.generator(n, profile, rng, rtol, idx)
+            if idx == self.BAD:
+                mats = {**mats, "S": mats["S"] + _non_member(ctx)}
+            return ctx, mats
+
+        monkeypatch.setattr(
+            verify, "catalog",
+            lambda: [dataclasses.replace(s, generator=generator) if s is spec else s
+                     for s in plain],
+        )
+        (chk,) = run_suite(cfg, only=["C14"], threads=threads).checks
+        assert (chk.instances_run, chk.incomplete) == (11, 1)
+
+
 class TestMatrixRoundTrip:
     def test_dict_round_trip(self):
         rng = np.random.default_rng(5)
@@ -404,6 +495,27 @@ class TestBenchmarkHooks:
         # C24: the generators look the random_* functions up at call time
         assert calls["verify.generate"] == 10
         assert verify.catalog()[0].evaluator is verify._eval_c01   # uninstalled
+
+    def test_tracer_sees_stacked_radii(self):
+        # C14 asks for three A-norm radii an instance, C21 and C24 for one
+        # under alpha or Omega_A and one under the A-norm: the A-norm ones
+        # are solved in stacks outside the evaluator, the others still
+        # through the traced seminorm calls, inside each check's span
+        tr = _load_tracer().Tracer()
+        cfg = InstanceGenConfig(instances_per_check=3)
+        ids = ["C14", "C21", "C24"]
+        tr.install()
+        try:
+            reports = [tr.wrap(run_suite, f"verify.check.{cid}")(cfg, only=[cid]) for cid in ids]
+        finally:
+            tr.uninstall()
+        assert [r.incomplete_total for r in reports] == [0, 0, 0]
+        assert tr.summary()[0]["verify.evaluate"] == 3 * len(ids)
+        seen = dict(tr.calls_within("verify.check.", ("seminorms.big_omega", "seminorms.alpha")))
+        assert seen["verify.check.C14"]["seminorms.big_omega"] == 0
+        assert seen["verify.check.C14"]["seminorms.alpha"] == 0
+        assert seen["verify.check.C21"]["seminorms.alpha"] > 0
+        assert seen["verify.check.C24"]["seminorms.big_omega"] > 0
 
     def test_catalog_cells_inputs(self):
         # the (dim, rank profile, seminorm) cell count of perfbench's
