@@ -18,11 +18,19 @@ supremum within that grid bound, whatever the refinement does.
 
 Every objective is batched: ``sup_on_circle`` hands it a 1-D array of
 angles and takes an array of values back, the whole grid in one call and
-each refinement step as a one-angle array.  :func:`_profile`, the one
-angle-stack loop, hands the A-real parts cos(theta) Re_A T - sin(theta)
-Im_A T in stacks of at most ``linalg.STACK_BYTES`` to ``N.evaluate`` (the
-engine) or to a batched eigenvalue call (the level set, which pairs each
-angle with its own member of a stack).  One form is enough:
+each refinement step as a one-angle array.  It is the one-member case of
+one lockstep engine (:func:`_sup_lockstep`), which maximizes k objectives
+at once: their grids are one call of an objective that also takes the
+member of each angle, and the Brent refinements, coroutines that yield
+their next angle, step together, one call per step for every member still
+refining.  A member's angles and values do not depend on the others, so
+the catalog, which runs the radii and sweeps of many instances this way,
+gets each one's value as from a lone sweep on the same parts.
+:func:`_profile`, the one angle-stack loop, hands the A-real parts
+cos(theta) Re_A T - sin(theta) Im_A T in stacks of at most
+``linalg.STACK_BYTES`` to ``N.evaluate`` (the engine) or to a batched
+eigenvalue call (the level set); with an owner index it pairs each angle
+with its own member of a stack of parts.  One form is enough:
 Im_A(e^{i theta} T) = -Re_A(e^{i (theta + pi/2)} T), so N of it is the profile
 a quarter-turn on.
 
@@ -75,23 +83,26 @@ def _step_cap(width: float) -> int:
     return 2 + math.ceil(math.log(_REFINE_TOL / width) / math.log(_INVPHI))
 
 
-def _brent_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: float):
+def _brent_max(a: float, x: float, b: float, fa: float, fx: float, fb: float):
     """Maximize f on the bracket [a, b] around x, with f known at a, x, b.
 
-    Brent's method (Algorithms for Minimization without Derivatives, 1973,
-    ch. 5), with w and v the second and third best angles so far: each
-    step goes to the vertex of the parabola through x, w and v when that
-    lies inside the bracket and moves less than half the step before last,
-    and otherwise takes a golden-section step into the larger side of x.
-    Starting with w and v at the ends makes the first step the parabola
-    through the three grid values.  On a smooth peak the steps converge
-    superlinearly.  Once x and w lie within ``_REFINE_TOL`` of each other
-    with values equal to roundoff (``_FLAT``), the parabola has nothing
-    left to resolve, so the step goes ``_STEP_TOL`` to the far side, which
-    closes that side unless it finds a higher value.  The bracket holds the
-    best value throughout.  Stops when x is within 2 ``_STEP_TOL`` of both
-    ends (a bracket of at most ``_REFINE_TOL``) or after
-    ``_step_cap(b - a)`` calls; returns (x, f(x)) with f(x) >= fx.
+    A coroutine: it yields each angle u where it needs f and takes f(u)
+    back by ``send``, so that the refinements of many objectives can step
+    in lockstep (:func:`_sup_lockstep`).  Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 5), with w and v the second
+    and third best angles so far: each step goes to the vertex of the
+    parabola through x, w and v when that lies inside the bracket and moves
+    less than half the step before last, and otherwise takes a
+    golden-section step into the larger side of x.  Starting with w and v
+    at the ends makes the first step the parabola through the three grid
+    values.  On a smooth peak the steps converge superlinearly.  Once x and
+    w lie within ``_REFINE_TOL`` of each other with values equal to
+    roundoff (``_FLAT``), the parabola has nothing left to resolve, so the
+    step goes ``_STEP_TOL`` to the far side, which closes that side unless
+    it finds a higher value.  The bracket holds the best value throughout.
+    Stops when x is within 2 ``_STEP_TOL`` of both ends (a bracket of at
+    most ``_REFINE_TOL``) or after ``_step_cap(b - a)`` angles; returns
+    (x, f(x)) with f(x) >= fx.
     """
     w, fw, v, fv = (a, fa, b, fb) if fa >= fb else (b, fb, a, fa)
     d = e = b - a
@@ -120,7 +131,7 @@ def _brent_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: float)
             e = (a - x) if x >= m else (b - x)
             d = (1.0 - _INVPHI) * e
         u = x + (d if abs(d) >= _STEP_TOL else math.copysign(_STEP_TOL, d))
-        fu = f(u)
+        fu = yield u
         if fu > fx:
             if u >= x:
                 a = x
@@ -139,6 +150,49 @@ def _brent_max(f, a: float, x: float, b: float, fa: float, fx: float, fb: float)
     return x, fx
 
 
+def _sup_lockstep(f, k: int, grid_points: int):
+    """Maximize k functions of period pi at once: the engine behind
+    :func:`sup_on_circle`, whose one-member case is every lone sweep.
+
+    ``f(thetas, owner)`` maps a 1-D array of angles in [0, pi), angle j
+    one of member ``owner[j]``, to the array of their values.  The grids
+    of all members, ``grid_points`` angles each, are one call; then the
+    refinements of all members (:func:`_brent_max`, each on the bracket of
+    two grid steps around its best grid angle) step in lockstep, one call
+    per step with one angle for every member still refining.  A member's
+    angles and values are those of a lone sweep, whatever the others do.
+    Returns the arrays (theta*, f*) of the k members.
+    """
+    _require_grid(grid_points)
+    thetas = np.linspace(0.0, math.pi, grid_points, endpoint=False)
+    vals = np.asarray(f(np.tile(thetas, k), np.arange(k).repeat(grid_points)), dtype=float)
+    vals = vals.reshape(k, grid_points)
+    h = math.pi / grid_points
+    x, fx = np.empty(k), np.empty(k)
+    searches = [
+        _brent_max(thetas[j] - h, float(thetas[j]), thetas[j] + h,
+                   float(vals[i, j - 1]), float(vals[i, j]), float(vals[i, (j + 1) % grid_points]))
+        for i, j in enumerate(np.argmax(vals, axis=1).tolist())
+    ]
+    # the members still refining, and the value each one's last angle got
+    live, sent, owner = list(range(k)), [None] * k, None
+    while live:
+        angles, asked = [], []
+        for i, value in zip(live, sent):
+            try:
+                angles.append(searches[i].send(value) % math.pi)
+                asked.append(i)
+            except StopIteration as stop:
+                x[i], fx[i] = stop.value[0] % math.pi, stop.value[1]
+        live = asked
+        if not live:
+            break
+        if owner is None or len(owner) != len(live):    # members only leave
+            owner = np.array(live)
+        sent = [float(v) for v in f(np.array(angles), owner)]
+    return x, fx
+
+
 def sup_on_circle(f, grid_points: int):
     """Maximize a function of period pi: uniform grid, then refine best bracket.
 
@@ -153,22 +207,10 @@ def sup_on_circle(f, grid_points: int):
     ``_step_cap(2 h)`` times (h the grid step): never more than golden
     section down to the same ``_REFINE_TOL``.  Returns (theta*, f*) with f*
     at least the grid maximum, so the grid's L * h / 2 certificate holds as
-    it is.
+    it is.  This is the one-member case of :func:`_sup_lockstep`.
     """
-    _require_grid(grid_points)
-    thetas = np.linspace(0.0, math.pi, grid_points, endpoint=False)
-    vals = np.asarray(f(thetas), dtype=float)
-    k = int(np.argmax(vals))
-    h = math.pi / grid_points
-
-    def f_one(x):
-        return float(f(np.array([x % math.pi]))[0])
-
-    x_ref, f_ref = _brent_max(
-        f_one, thetas[k] - h, float(thetas[k]), thetas[k] + h,
-        float(vals[k - 1]), float(vals[k]), float(vals[(k + 1) % grid_points]),
-    )
-    return x_ref % math.pi, f_ref
+    x, fx = _sup_lockstep(lambda thetas, owner: f(thetas), 1, grid_points)
+    return float(x[0]), float(fx[0])
 
 
 def _theta_combos(r0: np.ndarray, i0: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -291,7 +333,13 @@ def _pencil_identities(n: int):
 
 
 def _lockstep(m: np.ndarray) -> np.ndarray:
-    """:func:`_level_set_radius` of a (k, n, n) stack of non-zero matrices."""
+    """:func:`_level_set_radius` of a (k, n, n) stack of non-zero matrices.
+
+    Row j of each state array belongs to member ``ids[j]``, and a member's
+    rows go once it is certified.  When one row is left (at once, for a
+    lone matrix) :func:`_lone_passes` finishes it without the masks, the
+    padding and the compaction that keep the rows of a stack apart.
+    """
     k, n, _ = m.shape
     a = _SHIFT
     ac = a.conjugate()
@@ -306,18 +354,21 @@ def _lockstep(m: np.ndarray) -> np.ndarray:
     comp[:, :n, n:] = eye
     # |lam|_max of herm(e^{i theta} M): lam_max there or at theta + pi
     starts = _profile(linalg.hermitian_abs_max, h1, h2,
-                      _START[None].repeat(k, axis=0).ravel(), np.arange(k).repeat(_START.size))
+                      np.tile(_START, k), np.arange(k).repeat(_START.size))
     r = np.maximum.reduce(starts.reshape(k, -1), axis=1)
     grow = 1.0 + 2 * n * _EPS * np.array([np.linalg.norm(x) for x in m]) / r
     on_circle = math.sqrt(2 * n * _EPS)
     out = np.empty(k)
     ids = np.arange(k)          # the member of each row still running
-    for _ in range(_MAX_LEVELS):
+    for passes in range(_MAX_LEVELS, 0, -1):
+        if len(ids) == 1:
+            out[ids[0]] = _lone_passes(passes, float(r[0]), float(grow[0]), lead[0],
+                                       rest[0], comp[0], h1[0], h2[0])
+            return out
         level = r * grow
         u, s, vh = np.linalg.svd(lead - level[:, None, None] * dlead)
-        fit = s[:, -1] >= _SQRT_EPS * s[:, 0]
-        if np.count_nonzero(fit) < len(fit):
-            near = ~fit
+        near = ~(s[:, -1] >= _SQRT_EPS * s[:, 0])
+        if near.any():
             level[near] = r[near] * (1.0 + _SQRT_EPS)
             u[near], s[near], vh[near] = np.linalg.svd(
                 lead[near] - level[near, None, None] * dlead)
@@ -356,6 +407,37 @@ def _lockstep(m: np.ndarray) -> np.ndarray:
         r = best
     out[ids] = r
     return out
+
+
+def _lone_passes(passes, r, grow, lead, rest, comp, h1, h2):
+    """At most ``passes`` passes of :func:`_lockstep` on one member, with
+    the member's n x n arrays and its value and growth factor as floats;
+    the same arithmetic, so the same value, as in a stack."""
+    n = len(lead)
+    a = _SHIFT
+    ac = a.conjugate()
+    _, dlead, drest = _pencil_identities(n)
+    on_circle = math.sqrt(2 * n * _EPS)
+    for _ in range(passes):
+        level = r * grow
+        u, s, vh = np.linalg.svd(lead - level * dlead)
+        if not s[-1] >= _SQRT_EPS * s[0]:
+            level = r * (1.0 + _SQRT_EPS)
+            u, s, vh = np.linalg.svd(lead - level * dlead)
+        inv = vh.conj().T / np.maximum(s, _EPS * s[0])
+        comp[n:] = -inv @ (u.conj().T @ (rest - level * drest))
+        w = np.linalg.eigvals(comp)
+        w = w[np.abs(np.abs(w) - 1.0) <= on_circle * np.linalg.norm(comp)]
+        if not w.size:
+            return r
+        z0, z1 = w + a, 1.0 + ac * w
+        th = np.sort(np.arctan2(z0.imag, z0.real) - np.arctan2(z1.imag, z1.real))
+        mids = (th + np.append(th[1:], th[0] + 2.0 * math.pi)) / 2.0
+        best = float(_profile(linalg.hermitian_abs_max, h1, h2, mids).max())
+        if best <= level:
+            return max(r, best)
+        r = best
+    return r
 
 
 def _on_level_set(seminorm) -> bool:

@@ -16,6 +16,8 @@ intertwines ``T`` with ``B``, so A-seminorms of ``T`` are classical norms
 of ``B``.  The compression ``T~ = A^{1/2} T (A^{1/2})^+`` is ``V_r B V_r*``
 and the adjoint ``T# = A^+ T* A`` is ``V_r D^{-1} (V_r* T V_r)* D V_r*``.
 :func:`_range_block` and its inverse :func:`_lift` map between the two.
+On the identity context of size r (:func:`_identity_context`) an r x r
+block is its own operator, which is how the catalog evaluates blocks.
 
 Only operators with ``range(T* A)`` inside ``range(A)`` admit A-adjoints;
 in finite dimension that is exactly the kernel condition
@@ -100,6 +102,27 @@ def build_context(a, rtol: float = DEFAULT_RTOL) -> SemiHilbertContext:
         eigenvalues=w,
         eigenvectors=v,
     )
+
+
+#: The identity contexts made so far, by size.
+_IDENTITIES = {}
+
+
+def _identity_context(r: int) -> SemiHilbertContext:
+    """The context of the r x r identity, built once per r, its arrays
+    read-only.  Its eigenvectors are exactly I, so on it an r x r matrix B
+    is its own range block and its A-adjoint is B*, bit for bit: the range
+    block of a member under any A is an operator under this context, and
+    the A-real parts it forms from B, (B + B*)/2 and (B - B*)/2i, are
+    exactly Hermitian."""
+    ctx = _IDENTITIES.get(r)
+    if ctx is None:
+        ctx = build_context(np.eye(r))
+        for x in (ctx.a, ctx.eigenvalues, ctx.eigenvectors):
+            x.flags.writeable = False
+        # a thread that built one at the same time keeps the first
+        ctx = _IDENTITIES.setdefault(r, ctx)
+    return ctx
 
 
 def _split(ctx: SemiHilbertContext):
@@ -205,7 +228,13 @@ def require_member(ctx: SemiHilbertContext, t) -> np.ndarray:
 
 def _member_block(ctx: SemiHilbertContext, t) -> np.ndarray:
     """The range block B of T or of each matrix of a stack, after one membership
-    check; on members the block map is multiplicative and sends T# to B*."""
+    check; on members the block map is multiplicative and sends T# to B*.
+
+    On an identity context of :func:`_identity_context` every square matrix
+    is a member and its own block, so T only has its shape checked.
+    """
+    if _IDENTITIES.get(ctx.dim) is ctx:
+        return _check_shape(ctx, t, stack=True)
     return _range_block(ctx, require_member(ctx, t))
 
 

@@ -10,11 +10,21 @@ is invertible), evaluates both sides, and reports per-check violation
 counts, the minimum slack (how close the bound came to equality, i.e.
 sharpness), and the worst witness instance in replayable form.
 
-Evaluators ask for their generalized radii by yielding a request, and one
+Evaluators ask for what they need of a seminorm by yielding one request:
+radii w_N(T) (``_w``), values N(T) (``_n``) and the C02/C07 sweeps of
+N(Re_A(e^{i theta} T)) against N(Im_A(e^{i theta} T)) (``_sweep``).  One
 driver (:func:`_drive`) runs the evaluators of a chunk of instances in
-lockstep: it gathers their requests and solves every A-norm radius among
-them in one stacked level-set call per range-block size, so the catalog
-pays the level set's fixed cost per chunk, not per radius.
+lockstep: it checks each instance's operands with one stacked membership
+call, which also gives their r x r range blocks, groups the blocks of all
+instances by (request kind, seminorm, r), and answers each group with one
+call: the stacked level set for A-norm radii, the seminorm's own
+``evaluate`` for values, and the lockstep angle engine
+(``radius._sup_lockstep``) for other radii and for sweeps.  The range
+block of a member under A is an operator under the identity context of
+size r (``semihilbert._identity_context``), bit for bit, so every such call
+goes through the public ``evaluate`` on that context; its A-real parts are
+exactly Hermitian there.  The catalog pays each solver's fixed cost per
+chunk, not per instance.
 
 Slack bookkeeping: for an obligation lhs <= rhs the relative slack is
 (rhs - lhs) / max(rhs, 1e-300); equalities use the symmetric deviation
@@ -356,11 +366,12 @@ def _slack(kind: str, lhs: float, rhs: float) -> float:
 # evaluators: one per check, shared helpers first
 #
 # An evaluator maps (ctx, mats, n_desc) to an InstanceOutcome.  One that
-# needs generalized radii is a generator: it yields one request, ``_w(N,
-# T1, T2, ...)`` or a sum of such tuples, and the runner sends back the
-# radii w_N(T1), w_N(T2), ... as a tuple in the same order, then takes the
-# outcome it returns.  The runner collects the requests of many instances
-# and solves every A-norm radius among them in stacked level-set calls.
+# needs seminorm quantities is a generator: it yields one request, a sum of
+# ``_w(N, T1, ...)`` (radii), ``_n(N, T1, ...)`` (values) and ``_sweep(N,
+# combine, T)`` tuples, and the runner sends back one number per entry as a
+# tuple in the same order, then takes the outcome it returns.  The runner
+# collects the requests of many instances and answers each kind of them in
+# stacked calls on range blocks.
 
 #: Angle grid of every radius in a suite run (echoed in the report).
 _THETA_GRID = 180
@@ -377,50 +388,64 @@ _SWEEP_GRID = 32
 _A_NORM = seminorms.a_norm_seminorm()
 
 
+#: Request kinds besides the sweeps, which are keyed by their combine.
+_RADIUS = "radius"
+_VALUE = "value"
+
+
 def _w(n_desc, *ops):
     """A request for the radius w_N of each operand, for an evaluator to yield."""
-    return tuple((n_desc, t) for t in ops)
+    return tuple((_RADIUS, n_desc, t) for t in ops)
 
 
-def _re_im_sweep(ctx, n_desc, r0, i0, combine):
-    """sup over theta of combine(N(Re_A(e^{i theta} T)), N(Im_A(e^{i theta} T)))
-    = combine(p(theta), p(theta + pi/2)) for the A-real profile p: period
-    pi/2, so it is swept over phi = 2 theta, one profile call per sweep call."""
-    evaluate = functools.partial(n_desc.evaluate, ctx)
+def _n(n_desc, *ops):
+    """A request for the value N(T) of each operand."""
+    return tuple((_VALUE, n_desc, t) for t in ops)
 
-    def objective(phis):
-        thetas = phis / 2.0
-        both = np.concatenate([thetas, thetas + math.pi / 2.0])
-        vals = radius._profile(evaluate, r0, i0, both)
-        return combine(vals[: phis.size], vals[phis.size:])
 
-    return radius.sup_on_circle(objective, _SWEEP_GRID)[1]
+def _sweep(n_desc, combine, t):
+    """A request for sup over theta of combine(N(Re_A(e^{i theta} T)),
+    N(Im_A(e^{i theta} T))).  ``combine`` maps the two arrays of values to
+    one; a module-level function, so that the runner can group on it."""
+    return ((combine, n_desc, t),)
+
+
+def _gap(re, im):
+    return np.abs(re - im)
+
+
+def _neg_hypot(re, im):
+    return -np.hypot(re, im)
+
+
+def _sweep_objective(evaluate, r0, i0, combine, phis, owner):
+    """combine(p(theta), p(theta + pi/2)) at theta = phi / 2 for the A-real
+    profile p of each member, ``r0[owner[j]]`` and ``i0[owner[j]]`` for
+    angle j: the sweep has period pi/2 in theta, so it runs over phi = 2
+    theta, and both angles go into one profile call."""
+    thetas = phis / 2.0
+    vals = radius._profile(evaluate, r0, i0, np.concatenate([thetas, thetas + math.pi / 2.0]),
+                           np.concatenate([owner, owner]))
+    return combine(vals[: phis.size], vals[phis.size:])
 
 
 def _eval_c01(ctx, mats, n_desc):
     t = mats["T"]
-    (w,) = yield _w(n_desc, t)
     _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
-    lhs = n_desc.evaluate(ctx, t) / 2 + abs(
-        n_desc.evaluate(ctx, r0) - n_desc.evaluate(ctx, i0)
-    ) / 2
-    return InstanceOutcome([(lhs, w)])
+    w, nt, nr, ni = yield _w(n_desc, t) + _n(n_desc, t, r0, i0)
+    return InstanceOutcome([(nt / 2 + abs(nr - ni) / 2, w)])
 
 
 def _eval_c02(ctx, mats, n_desc):
     t = mats["T"]
-    (w,) = yield _w(n_desc, t)
-    _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
-    sup_gap = _re_im_sweep(ctx, n_desc, r0, i0, lambda re, im: np.abs(re - im))
-    lhs = n_desc.evaluate(ctx, t) / 2 + sup_gap / 2
-    return InstanceOutcome([(lhs, w)])
+    w, nt, sup_gap = yield _w(n_desc, t) + _n(n_desc, t) + _sweep(n_desc, _gap, t)
+    return InstanceOutcome([(nt / 2 + sup_gap / 2, w)])
 
 
 def _eval_c03(ctx, mats, n_desc):
     # also C17, the same bounds under the A-norm on sharpness constructions
     t = mats["T"]
-    (w,) = yield _w(n_desc, t)
-    nt = n_desc.evaluate(ctx, t)
+    w, nt = yield _w(n_desc, t) + _n(n_desc, t)
     pairs = [(nt / 2, w)]
     if n_desc.selfadjoint_invariant:
         pairs.append((w, nt))
@@ -439,18 +464,16 @@ def _eval_c04(ctx, mats, n_desc):
 
 def _eval_c05(ctx, mats, n_desc):
     t = mats["T"]
-    (w,) = yield _w(n_desc, t)
     c, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
-    q = n_desc.evaluate(ctx, c @ t + t @ c)
-    gap = abs(n_desc.evaluate(ctx, r0) ** 2 - n_desc.evaluate(ctx, i0) ** 2)
+    w, q, nr, ni = yield _w(n_desc, t) + _n(n_desc, c @ t + t @ c, r0, i0)
+    gap = abs(nr ** 2 - ni ** 2)
     return InstanceOutcome([(math.sqrt(q / 4 + gap / 2), w)])
 
 
 def _eval_c06(ctx, mats, n_desc):
     t = mats["T"]
-    (w,) = yield _w(n_desc, t)
     c = a_adjoint(ctx, t)
-    q = n_desc.evaluate(ctx, c @ t + t @ c)
+    w, q = yield _w(n_desc, t) + _n(n_desc, c @ t + t @ c)
     pairs = [(math.sqrt(q) / 2, w)]
     if n_desc.a_increasing and n_desc.power_property:
         pairs.append((w, math.sqrt(2 * q) / 2))
@@ -459,34 +482,32 @@ def _eval_c06(ctx, mats, n_desc):
 
 def _eval_c07(ctx, mats, n_desc):
     t = mats["T"]
-    (w,) = yield _w(n_desc, t)
     _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
-    rhs_plain = math.hypot(n_desc.evaluate(ctx, r0), n_desc.evaluate(ctx, i0))
-    neg_inf = _re_im_sweep(ctx, n_desc, r0, i0, lambda re, im: -np.hypot(re, im))
-    return InstanceOutcome([(w, rhs_plain), (w, -neg_inf)])
+    w, nr, ni, neg_inf = yield (
+        _w(n_desc, t) + _n(n_desc, r0, i0) + _sweep(n_desc, _neg_hypot, t)
+    )
+    return InstanceOutcome([(w, math.hypot(nr, ni)), (w, -neg_inf)])
 
 
 def _eval_c08(ctx, mats, n_desc):
     t = mats["T"]
-    w, w2 = yield _w(n_desc, t, t @ t)
     c = a_adjoint(ctx, t)
-    q = n_desc.evaluate(ctx, c @ t + t @ c)
+    w, w2, q = yield _w(n_desc, t, t @ t) + _n(n_desc, c @ t + t @ c)
     return InstanceOutcome([(w, math.sqrt(0.5 * w2 + 0.25 * q))])
 
 
 def _eval_c09(ctx, mats, n_desc):
     t = mats["T"]
-    w, w2 = yield _w(n_desc, t, t @ t)
     c = a_adjoint(ctx, t)
-    q = n_desc.evaluate(ctx, c @ t + t @ c)
+    w, w2, q = yield _w(n_desc, t, t @ t) + _n(n_desc, c @ t + t @ c)
     return InstanceOutcome([(w, (q * q / 8 + w2 * w2 / 2) ** 0.25)])
 
 
 def _eval_c10(ctx, mats, n_desc):
     # also C25, the same identity on A-normal T under Omega_A
     t = mats["T"]
-    (w,) = yield _w(n_desc, t)
-    return InstanceOutcome([(w, n_desc.evaluate(ctx, t))])
+    w, nt = yield _w(n_desc, t) + _n(n_desc, t)
+    return InstanceOutcome([(w, nt)])
 
 
 def _eval_c11(ctx, mats, n_desc):
@@ -499,12 +520,10 @@ def _eval_c12(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
     ts_adj = a_adjoint(ctx, t)
     ss_adj = a_adjoint(ctx, s)
-    n_t = n_desc.evaluate(ctx, t)
-    n_s = n_desc.evaluate(ctx, s)
-    w_ts, w_t, w_s, *w_mixed = yield _w(
+    w_ts, w_t, w_s, *w_mixed, n_t, n_s = yield _w(
         n_desc, t @ s, t, s,
         *(t @ s + sgn * op for sgn in (1.0, -1.0) for op in (s @ ts_adj, ss_adj @ t)),
-    )
+    ) + _n(n_desc, t, s)
     pairs = []
     for w_left, w_right in zip(w_mixed[::2], w_mixed[1::2]):
         pairs += [(w_ts, n_t * w_s + 0.5 * w_left), (w_ts, n_s * w_t + 0.5 * w_right)]
@@ -514,17 +533,17 @@ def _eval_c12(ctx, mats, n_desc):
 def _eval_c13(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
     ts_adj = a_adjoint(ctx, t)
-    w_s, *w_mixed = yield _w(
+    w_s, *w_mixed, n_t = yield _w(
         n_desc, s, *(t @ s + sgn * (s @ ts_adj) for sgn in (1.0, -1.0))
-    )
-    bound = 2 * n_desc.evaluate(ctx, t) * w_s
+    ) + _n(n_desc, t)
+    bound = 2 * n_t * w_s
     return InstanceOutcome([(w, bound) for w in w_mixed])
 
 
 def _eval_c14(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
-    w_t, w_s, w_ts = yield _w(n_desc, t, s, t @ s)
-    mid = 2 * min(w_t * n_desc.evaluate(ctx, s), w_s * n_desc.evaluate(ctx, t))
+    w_t, w_s, w_ts, n_s, n_t = yield _w(n_desc, t, s, t @ s) + _n(n_desc, s, t)
+    mid = 2 * min(w_t * n_s, w_s * n_t)
     return InstanceOutcome([(w_ts, mid), (mid, 4 * w_t * w_s)])
 
 
@@ -532,11 +551,11 @@ def _eval_c15(ctx, mats, n_desc):
     t, s, x = mats["T"], mats["S"], mats["X"]
     ts_adj = a_adjoint(ctx, t)
     ss_adj = a_adjoint(ctx, s)
-    w_x, *w_mixed = yield _w(
+    w_x, *w_mixed, n_t, n_s = yield _w(
         n_desc, x,
         *(t @ x @ s + sgn * (ss_adj @ x @ ts_adj) for sgn in (1.0, -1.0)),
-    )
-    bound = 2 * n_desc.evaluate(ctx, t) * n_desc.evaluate(ctx, s) * w_x
+    ) + _n(n_desc, t, s)
+    bound = 2 * n_t * n_s * w_x
     return InstanceOutcome([(w, bound) for w in w_mixed])
 
 
@@ -544,18 +563,18 @@ def _eval_c16(ctx, mats, n_desc):
     t = mats["T"]
     x = mats["X"]
     ts_adj = a_adjoint(ctx, t)
-    w_x, w_txt, w_ttx = yield _w(n_desc, x, t @ x @ ts_adj, ts_adj @ x @ t)
-    bound = n_desc.evaluate(ctx, t) ** 2 * w_x
+    w_x, w_txt, w_ttx, n_t = yield (
+        _w(n_desc, x, t @ x @ ts_adj, ts_adj @ x @ t) + _n(n_desc, t)
+    )
+    bound = n_t ** 2 * w_x
     return InstanceOutcome([(w_txt, bound), (w_ttx, bound)])
 
 
 def _eval_c18(ctx, mats, n_desc):
     t = mats["T"]
     c = a_adjoint(ctx, t)
-    rhs = a_operator_norm(ctx, t) ** 2
-    return InstanceOutcome(
-        [(a_operator_norm(ctx, c @ t), rhs), (a_operator_norm(ctx, t @ c), rhs)]
-    )
+    n_t, n_ct, n_tc = yield _n(_A_NORM, t, c @ t, t @ c)
+    return InstanceOutcome([(n_ct, n_t ** 2), (n_tc, n_t ** 2)])
 
 
 def _eval_c19(ctx, mats, n_desc):
@@ -576,7 +595,8 @@ def _eval_c19(ctx, mats, n_desc):
 
 def _eval_c20(ctx, mats, n_desc):
     h = re_a(ctx, mats["T"])
-    return InstanceOutcome([(n_desc.evaluate(ctx, h), a_operator_norm(ctx, h))])
+    n_h, a_h = yield _n(n_desc, h) + _n(_A_NORM, h)
+    return InstanceOutcome([(n_h, a_h)])
 
 
 def _eval_c21(ctx, mats, n_desc):
@@ -587,15 +607,15 @@ def _eval_c21(ctx, mats, n_desc):
 
 def _eval_c22(ctx, mats, n_desc):
     t = mats["T"]
-    na = a_operator_norm(ctx, t)
-    om = n_desc.evaluate(ctx, t)
+    na, om = yield _n(_A_NORM, t) + _n(n_desc, t)
     gam = seminorms.gamma_a(ctx, t)
     return InstanceOutcome([(na, om), (om, gam), (gam, _SQRT2 * na)])
 
 
 def _eval_c23(ctx, mats, n_desc):
     t = mats["T"]
-    return InstanceOutcome([(n_desc.evaluate(ctx, t), _SQRT2 * a_operator_norm(ctx, t))])
+    om, na = yield _n(n_desc, t) + _n(_A_NORM, t)
+    return InstanceOutcome([(om, _SQRT2 * na)])
 
 
 def _eval_c24(ctx, mats, n_desc):
@@ -607,10 +627,10 @@ def _eval_c24(ctx, mats, n_desc):
 def _eval_c26(ctx, mats, n_desc):
     t = mats["T"]
     target = 2 * _SQRT2
-    (w,) = yield _w(n_desc, t)
+    nt, w = yield _n(n_desc, t) + _w(n_desc, t)
     return InstanceOutcome(
         [
-            (n_desc.evaluate(ctx, t), target),
+            (nt, target),
             (w, target),
             (seminorms.big_omega_pair_form(ctx, t), target),
         ]
@@ -619,10 +639,8 @@ def _eval_c26(ctx, mats, n_desc):
 
 def _eval_c27(ctx, mats, n_desc):
     t = mats["T"]
-    (w,) = yield _w(n_desc, t)
-    nt = n_desc.evaluate(ctx, t)
     c, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
-    q = n_desc.evaluate(ctx, c @ t + t @ c)
+    w, nt, q = yield _w(n_desc, t) + _n(n_desc, t, c @ t + t @ c)
     tol = 1e-7 * nt
     target = math.sqrt(q) / 2
     flat = abs(w - nt / 2) <= tol  # lower-bound attainment forces flat angle profile
@@ -903,54 +921,70 @@ _INSTANCE_ERRORS = (ShnrError, np.linalg.LinAlgError)
 
 
 def _solve(asks):
-    """Answer radius requests: ``asks`` maps an instance key to its context
-    and the request its evaluator yielded; the result maps each key to the
-    tuple of radii or to the error that made the instance fail.
+    """Answer requests: ``asks`` maps an instance key to its context and the
+    request its evaluator yielded; the result maps each key to the tuple of
+    answers or to the error that made the instance fail.
 
-    Each instance's A-norm operands pass one stacked membership check and
-    become range blocks; the blocks of all instances are grouped by size
-    and each group is one stacked level-set call.  Radii under other
-    seminorms go one at a time through ``radius.generalized_radius``.  When
-    a stacked level-set call raises ``LinAlgError``, its group is solved
-    again one instance at a time, so only a failing instance fails.
+    Each instance's operands pass one stacked membership check and become
+    range blocks.  The blocks of all instances are grouped by request kind,
+    seminorm and size r, and each group is one call (:func:`_answer`).
+    When a group's call raises ``LinAlgError``, the group is solved again
+    one instance at a time, so only a failing instance fails.
     """
     got, groups = {}, {}
     for key, (ctx, request) in asks.items():
-        level_set = [j for j, (n_desc, _) in enumerate(request) if radius._on_level_set(n_desc)]
         try:
-            if level_set:
-                blocks = semihilbert._member_block(
-                    ctx, np.stack([request[j][1] for j in level_set])
-                )
-            radii = [
-                None if j in level_set
-                else radius.generalized_radius(ctx, n_desc, t, _THETA_GRID)
-                for j, (n_desc, t) in enumerate(request)
-            ]
+            blocks = semihilbert._member_block(ctx, np.stack([t for _, _, t in request]))
         except _INSTANCE_ERRORS as exc:
             got[key] = exc
             continue
-        got[key] = radii
-        if level_set:
-            groups.setdefault(blocks.shape[-1], []).append((key, level_set, blocks))
-    for group in groups.values():
+        got[key] = [None] * len(request)
+        for j, ((kind, n_desc, _), b) in enumerate(zip(request, blocks)):
+            if kind == _RADIUS and radius._on_level_set(n_desc):
+                n_desc = None           # the level set reads no seminorm
+            group = groups.setdefault((kind, n_desc, len(b)), {})
+            group.setdefault(key, []).append((j, b))
+    for (kind, n_desc, _), group in groups.items():
         try:
-            flat = radius._level_set_radius(np.concatenate([b for _, _, b in group]))
-            solved = np.split(flat, np.cumsum([len(b) for _, _, b in group])[:-1])
+            flat = _answer(kind, n_desc, np.stack([b for m in group.values() for _, b in m]))
+            solved = np.split(flat, np.cumsum([len(m) for m in group.values()])[:-1])
         except np.linalg.LinAlgError:
-            solved = [_level_set_or_error(b) for _, _, b in group]
-        for (key, level_set, _), vals in zip(group, solved):
+            solved = [_answer_or_error(kind, n_desc, np.stack([b for _, b in m]))
+                      for m in group.values()]
+        for (key, members), vals in zip(group.items(), solved):
+            if isinstance(got[key], Exception):
+                continue
             if isinstance(vals, Exception):
                 got[key] = vals
                 continue
-            for j, v in zip(level_set, vals):
+            for (j, _), v in zip(members, vals):
                 got[key][j] = float(v)
     return {key: v if isinstance(v, Exception) else tuple(v) for key, v in got.items()}
 
 
-def _level_set_or_error(blocks):
-    try:
+def _answer(kind, n_desc, blocks):
+    """The answers for a (k, r, r) stack of range blocks of one group: A-norm
+    radii (``n_desc`` None) from the stacked level set; otherwise through
+    ``n_desc.evaluate`` on the identity context of size r, where each block
+    is its own operator: values directly, and radii and sweeps from the
+    lockstep angle engine on the blocks' A-real parts."""
+    if n_desc is None:
         return radius._level_set_radius(blocks)
+    ctx = semihilbert._identity_context(blocks.shape[-1])
+    evaluate = functools.partial(n_desc.evaluate, ctx)
+    if kind == _VALUE:
+        return evaluate(blocks)
+    _, r0, i0 = semihilbert._cartesian_parts(ctx, blocks)
+    if kind == _RADIUS:
+        objective, grid = functools.partial(radius._profile, evaluate, r0, i0), _THETA_GRID
+    else:
+        objective, grid = functools.partial(_sweep_objective, evaluate, r0, i0, kind), _SWEEP_GRID
+    return radius._sup_lockstep(objective, len(blocks), grid)[1]
+
+
+def _answer_or_error(kind, n_desc, blocks):
+    try:
+        return _answer(kind, n_desc, blocks)
     except np.linalg.LinAlgError as exc:
         return exc
 
@@ -960,9 +994,10 @@ def _drive(spec, instances):
     in lockstep and return, per instance, its InstanceOutcome or the error
     (``ShnrError`` or ``LinAlgError``) that made it incomplete.
 
-    Every evaluator is called once.  Those that yield radius requests run
-    to their request; the requests of all instances are solved together
-    (:func:`_solve`), each generator gets its radii back, and the round
+    Every evaluator is called once.  Those that yield requests run to
+    their request; the requests of all instances are answered together
+    (:func:`_solve`: one membership check an instance, then one call per
+    group of blocks), each generator gets its answers back, and the round
     repeats until every evaluator has returned.
     """
     out = [None] * len(instances)

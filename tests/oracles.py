@@ -6,10 +6,12 @@ sampling, direct vector ascent, a dense coefficient grid by SVD, one
 evaluator call per angle, an angle grid with golden-section refinement, a
 dense angle grid, n x n pseudoinverse formulas in place of the range
 block) so that agreement is evidence, not tautology.
-They are deliberately slow and simple.  One is not an oracle but a
-reference: :func:`level_set_loop` is the level-set radius one matrix at a
+They are deliberately slow and simple.  Two are not oracles but
+references: :func:`level_set_loop` is the level-set radius one matrix at a
 time, the loop that the stacked kernel replaced, kept so that the stacked
-kernel's arithmetic can be held to it bit for bit.
+kernel's arithmetic can be held to it bit for bit; :func:`re_im_sweep` is
+the C02/C07 sweep one instance at a time on n x n parts, which the
+catalog's stacked sweep on range blocks must match to roundoff.
 """
 
 import math
@@ -310,3 +312,22 @@ def level_set_loop(m: np.ndarray) -> float:
             return max(r, best)
         r = best
     return r
+
+
+def re_im_sweep(ctx, seminorm, t, combine, grid_points: int) -> float:
+    """sup over theta of combine(N(Re_A(e^{i theta} T)), N(Im_A(e^{i theta} T)))
+    for one member T, as the catalog swept it one instance at a time: the
+    n x n A-Cartesian parts of T, ``seminorm.evaluate`` on the n x n
+    angle combinations, and ``sup_on_circle`` over phi = 2 theta.  A
+    reference for the catalog's stacked sweep on range blocks, which forms
+    the same parts in r x r coordinates."""
+    r0 = re_a(ctx, t)
+    i0 = im_a(ctx, t)
+
+    def f(phis):
+        thetas = np.concatenate([phis / 2.0, phis / 2.0 + math.pi / 2.0])
+        vals = seminorm.evaluate(ctx, _theta_combos(r0, i0, thetas))
+        return combine(vals[: phis.size], vals[phis.size:])
+
+    _, val = sup_on_circle(f, grid_points)
+    return val

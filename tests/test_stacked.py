@@ -1,5 +1,5 @@
-"""The stacked evaluator contract, the batched angle loop and the stacked
-level set.
+"""The stacked evaluator contract, the batched angle loop, the stacked
+level set and the catalog's route over range blocks.
 
 A seminorm's ``evaluate`` takes one operator or a (k, n, n) stack; the
 generic branch of ``generalized_radius`` hands it the angle grid as stacks
@@ -8,7 +8,10 @@ values, a stack is rejected if any matrix is a non-member, and the radius
 must match the per-angle loop kept in ``tests/oracles.py``.  The level set
 takes a (k, n, n) stack too, and each of its values must be that of a
 one-matrix call and of the one-matrix loop in ``tests/oracles.py``, bit for
-bit.
+bit.  The catalog answers its requests on range blocks under the identity
+context: that context must give each block back exactly, its values must
+be those of one-at-a-time ``evaluate`` calls bit for bit, and its radii
+and sweeps those of the public radius and of the n x n sweep to roundoff.
 """
 
 import dataclasses
@@ -29,11 +32,11 @@ from shnr import (
     omega_a_fast,
     verify,
 )
-from shnr import linalg, radius
+from shnr import linalg, radius, semihilbert
 from shnr.semihilbert import require_member
 from conftest import make_ctx, refine_step_cap
 
-from oracles import level_set_loop, per_angle_radius
+from oracles import level_set_loop, per_angle_radius, re_im_sweep
 
 DESCRIPTORS = {
     "a_norm": a_norm_seminorm(),
@@ -265,3 +268,85 @@ class TestStackedLevelSet:
         assert type(radius._level_set_radius(m)) is float
         assert radius._level_set_radius(np.zeros((3, 3))) == 0.0
         assert radius._level_set_radius(np.zeros((0, 3, 3))).shape == (0,)
+
+
+def _blocks(r, k, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r))
+
+
+class TestIdentityContext:
+    @pytest.mark.parametrize("r", range(1, 17))
+    def test_blocks_come_back_exactly(self, r):
+        ctx = semihilbert._identity_context(r)
+        assert ctx is semihilbert._identity_context(r)
+        assert ctx.rank == r
+        assert np.array_equal(ctx.eigenvectors, np.eye(r))
+        assert np.array_equal(ctx.eigenvalues, np.ones(r))
+        for x in (ctx.a, ctx.eigenvalues, ctx.eigenvectors):
+            assert not x.flags.writeable
+        stack = _blocks(r, 5, seed=r)
+        for b in (stack[0], stack):
+            # the block map and the membership check it stands for
+            assert np.array_equal(semihilbert._range_block(ctx, b), b)
+            assert np.array_equal(semihilbert._member_block(ctx, b), b)
+            assert np.all(semihilbert.membership_residual(ctx, b) == 0.0)
+            adj, re, im = semihilbert._cartesian_parts(ctx, b)
+            assert np.array_equal(adj, linalg.ctranspose(b))
+            # exactly Hermitian, so the closed forms always apply
+            assert np.array_equal(re, linalg.ctranspose(re))
+            assert np.array_equal(im, linalg.ctranspose(im))
+
+
+def _members(n, rank, k, seed):
+    """A context and k members of it: general, A-selfadjoint and A-normal."""
+    ctx = make_ctx(n, rank, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    kinds = (verify.random_member, verify.random_a_selfadjoint, verify.random_a_normal)
+    return ctx, [kinds[i % 3](ctx, rng, unit_norm=True) for i in range(k)]
+
+
+ROUTE_CASES = [(n, rank) for n in range(2, 9) for rank in sorted({n, n - 1, (n + 1) // 2})]
+
+
+class TestCatalogRoute:
+    """``verify._answer`` on range blocks against the public paths."""
+
+    @pytest.mark.parametrize("n,rank", ROUTE_CASES)
+    def test_radii_match_generalized_radius(self, n, rank):
+        ctx, ts = _members(n, rank, 4, seed=60 + 10 * n + rank)
+        blocks = semihilbert._member_block(ctx, np.stack(ts))
+        for name in ("big_omega", "a_alpha[0]", "a_alpha[0.5]", "a_alpha[1]"):
+            desc = DESCRIPTORS[name]
+            got = verify._answer(verify._RADIUS, desc, blocks)
+            want = [generalized_radius(ctx, desc, t, verify._THETA_GRID) for t in ts]
+            np.testing.assert_allclose(got, want, rtol=16 * np.finfo(float).eps, atol=0.0)
+
+    @pytest.mark.parametrize("n,rank", ROUTE_CASES)
+    def test_sweeps_match_the_n_by_n_sweep(self, n, rank):
+        # a sweep peaks at a kink, where two refinements of objectives that
+        # differ by roundoff may stop up to the refinement tolerance apart
+        ctx, ts = _members(n, rank, 4, seed=80 + 10 * n + rank)
+        blocks = semihilbert._member_block(ctx, np.stack(ts))
+        for combine in (verify._gap, verify._neg_hypot):
+            for name in ("a_norm", "big_omega"):
+                desc = DESCRIPTORS[name]
+                got = verify._answer(combine, desc, blocks)
+                want = [re_im_sweep(ctx, desc, t, combine, verify._SWEEP_GRID) for t in ts]
+                np.testing.assert_allclose(got, want, rtol=radius._REFINE_TOL, atol=0.0)
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_values_match_one_at_a_time_bit_for_bit(self, cap, monkeypatch):
+        # 30 instances of two sizes, three operands each; a 3-matrix cap
+        # splits every group, and the solvers' batches, over many stacks
+        if cap is not None:
+            _small_stacks(monkeypatch, cap, 3)
+        asks, want = {}, {}
+        for i in range(30):
+            ctx, ts = _members(3, (3, 2)[i % 2], 3, seed=200 + i)
+            desc = list(DESCRIPTORS.values())[i % len(DESCRIPTORS)]
+            asks[i] = (ctx, verify._n(desc, *ts) + verify._n(verify._A_NORM, ts[0]))
+            want[i] = [desc.evaluate(ctx, t) for t in ts] + [a_norm_seminorm().evaluate(ctx, ts[0])]
+        got = verify._solve(asks)
+        for i in asks:
+            _assert_bits_equal(got[i], want[i])

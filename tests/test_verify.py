@@ -126,10 +126,13 @@ class TestCatalog:
 class TestAngleSweeps:
     @pytest.mark.parametrize("check_id", ["C02", "C07"])
     def test_sweep_makes_stacked_calls(self, check_id):
-        # the sweep runs over 2 theta: its grid is one stack of the 64
-        # angles theta and theta + pi/2, and each refinement step one stack
-        # of two; outside the sweep only N(T) or N(Re_A T), N(Im_A T)
-        n = 3
+        # the sweeps of k instances run over 2 theta in lockstep: their
+        # grids are one stack of the 64 angles theta and theta + pi/2 of
+        # every member, and each refinement step one stack of two angles
+        # for every member still refining, at most refine_step_cap steps;
+        # before them one stack of the instances' values, N(T) or
+        # N(Re_A T), N(Im_A T)
+        n, k = 3, 4
         shapes = []
         base = shnr.a_norm_seminorm()
 
@@ -138,18 +141,23 @@ class TestAngleSweeps:
             return base.evaluate(ctx, t)
 
         desc = dataclasses.replace(base, evaluate=counting)
-        ctx = make_ctx(n, 2, seed=50)
-        t = verify.random_member(ctx, seed=51, unit_norm=True)
         spec = {s.id: s for s in catalog()}[check_id]
-        verify._evaluate(spec, ctx, {"T": t}, desc)
+        instances = []
+        for i in range(k):
+            ctx = make_ctx(n, 2, seed=50 + i)
+            t = verify.random_member(ctx, seed=60 + i, unit_norm=True)
+            instances.append((ctx, {"T": t}, desc))
+        outcomes = verify._drive(spec, instances)
+        assert all(isinstance(o, verify.InstanceOutcome) for o in outcomes)
         sweep = verify._SWEEP_GRID
-        grid = [s for s in shapes if s == (2 * sweep, n, n)]
-        steps = [s for s in shapes if s == (2, n, n)]
-        singles = [s for s in shapes if s == (n, n)]
-        assert sweep == 32 and len(grid) == 1
+        r = 2
+        values = {"C02": 1, "C07": 2}[check_id] * k
+        assert sweep == 32
+        assert shapes[:2] == [(values, r, r), (2 * sweep * k, r, r)]
+        steps = [s[0] // 2 for s in shapes[2:]]
+        assert all(s[1:] == (r, r) and s[0] % 2 == 0 for s in shapes[2:])
+        assert steps[0] == k and steps == sorted(steps, reverse=True)
         assert 2 <= len(steps) <= refine_step_cap(sweep)
-        assert len(singles) <= 2
-        assert len(grid) + len(steps) + len(singles) == len(shapes)
 
 
 class TestC27Scale:
@@ -348,31 +356,52 @@ def _non_member(ctx):
 
 
 class TestFailureIsolation:
-    """Instances are evaluated together and their A-norm radii solved in
+    """Instances are evaluated together and their requests answered in
     shared stacked calls; one failing instance must still be the only one
     marked incomplete, and the others' obligations must not change."""
 
     BAD = 5                      # an "n-1" cell: A has a kernel
+    #: each check's seminorm, and the solver its failure is injected into:
+    #: the level set (A-norm radii) or the seminorm's evaluate (values,
+    #: sweeps and the angle engine's radii)
+    CASES = {
+        "C01": (shnr.a_norm_seminorm(), "evaluate"),
+        "C07": (shnr.a_norm_seminorm(), "evaluate"),
+        "C12": (shnr.a_norm_seminorm(), "level set"),
+        "C14": (shnr.a_norm_seminorm(), "level set"),
+        "C20": (shnr.a_alpha_seminorm(0.5), "evaluate"),
+        "C21": (shnr.a_alpha_seminorm(0.5), "level set"),
+        "C22": (shnr.big_omega_seminorm(), "evaluate"),
+        "C24": (shnr.big_omega_seminorm(), "evaluate"),
+    }
 
     @staticmethod
-    def _instances(spec, count):
+    def _instances(spec, count, desc):
         out = []
         for idx in range(count):
             rng = np.random.default_rng(np.random.SeedSequence([42, int(spec.id[1:]), idx]))
             profile = ("full", "n-1")[idx % 2]
             ctx, mats = spec.generator(3, profile, rng, verify.DEFAULT_RTOL, idx)
-            out.append((ctx, mats, shnr.a_norm_seminorm()))
+            out.append((ctx, mats, desc))
         return out
 
     @pytest.mark.parametrize("failure", ["non-member", "solver"])
-    @pytest.mark.parametrize("check_id", ["C12", "C14", "C21"])
+    @pytest.mark.parametrize("check_id", list(CASES))
     def test_only_the_failing_instance_fails(self, monkeypatch, check_id, failure):
         spec = {s.id: s for s in catalog()}[check_id]
-        instances = self._instances(spec, 12)
-        if check_id == "C21":
-            instances = [(c, m, shnr.a_alpha_seminorm(0.5)) for c, m, _ in instances]
+        desc, solver = self.CASES[check_id]
+        if failure == "solver" and solver == "evaluate":
+            exact_eval = desc.evaluate
+
+            def failing_eval(ctx, t):
+                if np.abs(t).max() > 100.0:
+                    raise np.linalg.LinAlgError("injected")
+                return exact_eval(ctx, t)
+
+            desc = dataclasses.replace(desc, evaluate=failing_eval)
+        instances = self._instances(spec, 12, desc)
         want = verify._drive(spec, instances)
-        ctx, mats, desc = instances[self.BAD]
+        ctx, mats, _ = instances[self.BAD]
         if failure == "non-member":
             bad_t = mats["T"] + _non_member(ctx)
             error = shnr.NotMemberError
@@ -380,14 +409,15 @@ class TestFailureIsolation:
             # a member, but the patched solver fails on any stack holding it
             bad_t = 1e3 * mats["T"]
             error = np.linalg.LinAlgError
-            exact = shnr.radius._level_set_radius
+            if solver == "level set":
+                exact = shnr.radius._level_set_radius
 
-            def failing(m):
-                if np.abs(m).max() > 100.0:
-                    raise np.linalg.LinAlgError("injected")
-                return exact(m)
+                def failing(m):
+                    if np.abs(m).max() > 100.0:
+                        raise np.linalg.LinAlgError("injected")
+                    return exact(m)
 
-            monkeypatch.setattr(shnr.radius, "_level_set_radius", failing)
+                monkeypatch.setattr(shnr.radius, "_level_set_radius", failing)
         instances[self.BAD] = (ctx, {**mats, "T": bad_t}, desc)
         got = verify._drive(spec, instances)
         assert isinstance(got[self.BAD], error)
@@ -415,6 +445,55 @@ class TestFailureIsolation:
         )
         (chk,) = run_suite(cfg, only=["C14"], threads=threads).checks
         assert (chk.instances_run, chk.incomplete) == (11, 1)
+
+
+def _log_uniform_psd(lo):
+    """A stand-in for ``verify.random_psd`` whose kept eigenvalues are
+    log-uniform in [lo, 1], so that cond(A) reaches about 1 / lo."""
+
+    def random_psd(n, rank, seed=None):
+        rng = np.random.default_rng(seed)
+        q = verify._random_unitary(n, rng)[:, :rank]
+        vals = np.exp(rng.uniform(np.log(lo), 0.0, size=rank))
+        vals /= vals.max()
+        return shnr.linalg.herm((q * vals) @ q.conj().T)
+
+    return random_psd
+
+
+class TestConditionedA:
+    """The catalog on ill-conditioned A.  The range blocks of its operands
+    carry D^{-1/2} amplification, but the A-real parts of the radii are
+    formed from the blocks, exactly Hermitian, so the radii under alpha and
+    Omega_A never need the general solvers and their identities hold to
+    roundoff.  (The values of C10 and C25 on n x n operators still may.)"""
+
+    CHECKS = ["C04", "C10", "C20", "C21", "C23", "C24", "C25"]
+    RADII_ONLY = ["C04", "C21", "C24"]
+
+    @pytest.mark.parametrize("lo", [1e-6, 1e-9])
+    def test_radii_take_the_closed_form(self, lo, monkeypatch):
+        monkeypatch.setattr(verify, "random_psd", _log_uniform_psd(lo))
+        calls = []
+        for name in ("_omega_solve", "_alpha_ascent"):
+            solver = getattr(shnr.seminorms, name)
+
+            def counted(tts, *args, _solver=solver, _name=name):
+                calls.append((_name, len(tts)))
+                return _solver(tts, *args)
+
+            monkeypatch.setattr(shnr.seminorms, name, counted)
+        cfg = InstanceGenConfig(instances_per_check=45, seed=42)
+        by_id = {}
+        for cid in self.CHECKS:
+            del calls[:]
+            (chk,) = run_suite(cfg, only=[cid]).checks
+            by_id[cid] = chk
+            if cid in self.RADII_ONLY:
+                assert calls == [], cid
+        assert [(c.violations, c.incomplete) for c in by_id.values()] == [(0, 0)] * 7
+        for cid in ("C21", "C24"):
+            assert by_id[cid].min_slack > -1e-14, (cid, by_id[cid].min_slack)
 
 
 class TestMatrixRoundTrip:
@@ -497,25 +576,33 @@ class TestBenchmarkHooks:
         assert verify.catalog()[0].evaluator is verify._eval_c01   # uninstalled
 
     def test_tracer_sees_stacked_radii(self):
-        # C14 asks for three A-norm radii an instance, C21 and C24 for one
-        # under alpha or Omega_A and one under the A-norm: the A-norm ones
-        # are solved in stacks outside the evaluator, the others still
-        # through the traced seminorm calls, inside each check's span
+        # the runner answers the requests of a chunk in stacked calls outside
+        # the evaluators; radii, values and sweeps under alpha or Omega_A
+        # still go through the traced seminorm evaluate, inside each check's
+        # span, and the A-norm-only checks make no such call
         tr = _load_tracer().Tracer()
-        cfg = InstanceGenConfig(instances_per_check=3)
-        ids = ["C14", "C21", "C24"]
+        # one (dim, rank) cell, so 3 instances reach each check's first three
+        # seminorms
+        cfg = InstanceGenConfig(dims=(3,), rank_profiles=("n-1",), instances_per_check=3)
+        listing = ["C04", "C20", "C21", "C22", "C23", "C24"]
+        a_norm_only = ["C01", "C02", "C07", "C14"]
+        ids = listing + a_norm_only
         tr.install()
         try:
             reports = [tr.wrap(run_suite, f"verify.check.{cid}")(cfg, only=[cid]) for cid in ids]
         finally:
             tr.uninstall()
-        assert [r.incomplete_total for r in reports] == [0, 0, 0]
+        assert [r.incomplete_total for r in reports] == [0] * len(ids)
         assert tr.summary()[0]["verify.evaluate"] == 3 * len(ids)
-        seen = dict(tr.calls_within("verify.check.", ("seminorms.big_omega", "seminorms.alpha")))
-        assert seen["verify.check.C14"]["seminorms.big_omega"] == 0
-        assert seen["verify.check.C14"]["seminorms.alpha"] == 0
-        assert seen["verify.check.C21"]["seminorms.alpha"] > 0
-        assert seen["verify.check.C24"]["seminorms.big_omega"] > 0
+        watched = ("seminorms.big_omega", "seminorms.alpha")
+        seen = dict(tr.calls_within("verify.check.", watched))
+        for cid, report in zip(ids, reports):
+            (chk,) = report.checks
+            for sem, layer in (("big_omega", watched[0]), ("a_alpha", watched[1])):
+                listed = any(s.startswith(sem) for s in chk.seminorms)
+                calls = seen[f"verify.check.{cid}"][layer]
+                assert (calls > 0) == listed, (cid, layer, calls)
+        assert all(not any(seen[f"verify.check.{c}"].values()) for c in a_norm_only)
 
     def test_catalog_cells_inputs(self):
         # the (dim, rank profile, seminorm) cell count of perfbench's
