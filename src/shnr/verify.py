@@ -928,8 +928,10 @@ def _solve(asks):
     Each instance's operands pass one stacked membership check and become
     range blocks.  The blocks of all instances are grouped by request kind,
     seminorm and size r, and each group is one call (:func:`_answer`).
-    When a group's call raises ``LinAlgError``, the group is solved again
-    one instance at a time, so only a failing instance fails.
+    When a group's call raises what marks an instance incomplete
+    (``LinAlgError``, or a ``ShnrError`` from a seminorm's own evaluate),
+    the group is solved again one instance at a time, so only a failing
+    instance fails.
     """
     got, groups = {}, {}
     for key, (ctx, request) in asks.items():
@@ -948,7 +950,7 @@ def _solve(asks):
         try:
             flat = _answer(kind, n_desc, np.stack([b for m in group.values() for _, b in m]))
             solved = np.split(flat, np.cumsum([len(m) for m in group.values()])[:-1])
-        except np.linalg.LinAlgError:
+        except _INSTANCE_ERRORS:
             solved = [_answer_or_error(kind, n_desc, np.stack([b for _, b in m]))
                       for m in group.values()]
         for (key, members), vals in zip(group.items(), solved):
@@ -985,7 +987,7 @@ def _answer(kind, n_desc, blocks):
 def _answer_or_error(kind, n_desc, blocks):
     try:
         return _answer(kind, n_desc, blocks)
-    except np.linalg.LinAlgError as exc:
+    except _INSTANCE_ERRORS as exc:
         return exc
 
 
