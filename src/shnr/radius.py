@@ -24,8 +24,7 @@ at once: their grids are one call of an objective that also takes the
 member of each angle, and the Brent refinements, coroutines that yield
 their next angle, step together, one call per step for every member still
 refining.  A member's angles and values do not depend on the others, so
-the catalog, which runs the radii and sweeps of many instances this way,
-gets each one's value as from a lone sweep on the same parts.
+each one's value is that of a lone sweep on the same parts.
 :func:`_profile`, the one angle-stack loop, hands the A-real parts
 cos(theta) Re_A T - sin(theta) Im_A T in stacks of at most
 ``linalg.STACK_BYTES`` to ``N.evaluate`` (the engine) or to a batched
@@ -33,6 +32,14 @@ eigenvalue call (the level set); with an owner index it pairs each angle
 with its own member of a stack of parts.  One form is enough:
 Im_A(e^{i theta} T) = -Re_A(e^{i (theta + pi/2)} T), so N of it is the profile
 a quarter-turn on.
+
+Every angle supremum goes through one of two functions, whatever asks for
+it: :func:`_radii` (w_N of a stack of members; the one place that picks
+the level set or the engine) and :func:`_sweeps` (the catalog's C02/C07
+sweeps of N(Re_A) against N(Im_A)).  :func:`generalized_radius` calls
+:func:`_radii` with its one n x n operator under its own context; the
+catalog calls both with the r x r range blocks of many instances under
+the identity context of size r.
 
 For the A-operator seminorm the radius is omega_A(T), the classical
 numerical radius of the compression T~, and no angle grid is needed: the
@@ -42,8 +49,8 @@ angle where r is an eigenvalue of the Hermitian part of e^{i theta} T~,
 raises r to the largest eigenvalue at the midpoints of those angles, and
 stops when a level just above r has no crossing, which certifies r.  The
 level set takes a stack of matrices and runs them in lockstep, one batched
-call of each kind per pass for all of them, so the catalog solves the
-A-norm radii of many instances at once; each value is that of a lone call.
+call of each kind per pass for all of them, so :func:`_radii` solves the
+A-norm radii of many members at once; each value is that of a lone call.
 The seminorms that :mod:`shnr.seminorms` provides evaluate the generic
 objective's A-real parts, which are A-selfadjoint, in closed form.
 """
@@ -52,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -71,8 +79,9 @@ _FLAT = 64.0 * _EPS
 
 
 def _require_grid(grid_points: int) -> None:
-    if grid_points < 8:
-        raise ValueError("grid_points must be at least 8")
+    if not (isinstance(grid_points, numbers.Integral) and not isinstance(grid_points, bool)
+            and grid_points >= 8):
+        raise ValueError(f"grid_points must be an integer of at least 8, got {grid_points!r}")
 
 
 def _step_cap(width: float) -> int:
@@ -244,7 +253,7 @@ def omega_a_fast(ctx, t) -> float:
     |B|_F relative to the value, or sqrt(eps) when the pencil is singular
     at the last level.
     """
-    return _level_set_radius(semihilbert._member_block(ctx, t))
+    return _level_set_radius(semihilbert._member_block(ctx, semihilbert._check_shape(ctx, t)))
 
 
 _SQRT_EPS = math.sqrt(_EPS)
@@ -440,43 +449,68 @@ def _lone_passes(passes, r, grow, lead, rest, comp, h1, h2):
     return r
 
 
-def _on_level_set(seminorm) -> bool:
-    """Whether the radius under ``seminorm`` is omega_A, which the level set
-    computes from the range block: the plain A-operator seminorm."""
-    return getattr(seminorm, "id", None) == "a_norm"
+def _radii(ctx, seminorm, members, grid_points: int) -> np.ndarray:
+    """The radii w_N of a (k, n, n) stack of members that the caller has
+    validated under ``ctx``: the one place that picks the level set or the
+    angle engine, for :func:`generalized_radius` (one n x n operator under
+    its own context) and the catalog (range blocks under the identity
+    context of their size) alike.
+
+    Under the plain A-operator seminorm the radius is omega_A, and the
+    stacked level set (:func:`_level_set_radius`) takes it from the range
+    blocks; the grid plays no part.  Otherwise the lockstep engine
+    (:func:`_sup_lockstep`) maximizes ``seminorm.evaluate(ctx, .)`` on the
+    A-real parts of every member at once, ``grid_points`` angles each.
+    A zero member gets 0 either way.
+    """
+    if seminorm.id == "a_norm":
+        return _level_set_radius(semihilbert._range_block(ctx, members))
+    _, r0, i0 = semihilbert._cartesian_parts(ctx, members)
+    objective = functools.partial(_profile, functools.partial(seminorm.evaluate, ctx), r0, i0)
+    return _sup_lockstep(objective, len(members), grid_points)[1]
+
+
+def _sweeps(ctx, seminorm, members, combine, grid_points: int) -> np.ndarray:
+    """For each member T of a validated (k, n, n) stack, sup over theta of
+    combine(p(theta), p(theta + pi/2)) with p(theta) = N(Re_A(e^{i theta} T)),
+    so that p a quarter-turn on is N(Im_A(e^{i theta} T)).  The objective
+    has period pi/2 in theta, so the lockstep engine runs over phi = 2 theta,
+    ``grid_points`` angles, and both angles of a step go into one profile
+    call."""
+    _, r0, i0 = semihilbert._cartesian_parts(ctx, members)
+    evaluate = functools.partial(seminorm.evaluate, ctx)
+
+    def objective(phis, owner):
+        thetas = phis / 2.0
+        vals = _profile(evaluate, r0, i0, np.concatenate([thetas, thetas + math.pi / 2.0]),
+                        np.concatenate([owner, owner]))
+        return combine(vals[: phis.size], vals[phis.size:])
+
+    return _sup_lockstep(objective, len(members), grid_points)[1]
 
 
 def generalized_radius(ctx, seminorm, t, grid_points: int = 720,
                        with_error_bound: bool = False):
-    """sup over theta of N(Re_A(e^{i theta} T)) for the given seminorm.
+    """sup over theta of N(Re_A(e^{i theta} T)) for one operator T.
 
-    When ``seminorm`` is the plain A-operator seminorm the value is
-    omega_A(T) from the level-set iteration (:func:`omega_a_fast`), on T as
-    validated here, and the grid plays no part in it.  Otherwise the
-    objective hands the ``grid_points`` angles (at least 8) to
-    ``seminorm.evaluate`` as stacks of A-real parts, each at most
-    ``linalg.STACK_BYTES``.  With ``with_error_bound`` the certified
-    one-sided grid bound L * h / 2 is returned alongside the value, with
-    L = N(Re_A T) + N(Im_A T) for every seminorm (for the A-norm it still
-    holds, far above the level-set margin).
+    T is validated once and goes to :func:`_radii` as a one-member stack
+    under ``ctx``: the plain A-operator seminorm gives omega_A(T) from the
+    level-set iteration, where the grid plays no part; any other seminorm
+    gets the angle engine, whose objective hands the ``grid_points`` angles
+    (an integer, at least 8) to ``seminorm.evaluate`` as stacks of A-real
+    parts, each at most ``linalg.STACK_BYTES``.  With ``with_error_bound``
+    the certified one-sided grid bound L * h / 2 is returned alongside the
+    value, with L = N(Re_A T) + N(Im_A T) for every seminorm (for the
+    A-norm it still holds, far above the level-set margin).
 
     The same supremum over the A-imaginary parts Im_A(e^{i theta} T) is
     the radius of -i T, since Im_A(S) = Re_A(-i S).
     """
     _require_grid(grid_points)
-    t = semihilbert.require_member(ctx, t)
-    if not t.any():
-        return (0.0, 0.0) if with_error_bound else 0.0
-    a_norm = _on_level_set(seminorm)
-    if a_norm:
-        val = _level_set_radius(semihilbert._range_block(ctx, t))
-        if not with_error_bound:
-            return val
+    t = semihilbert.require_member(ctx, semihilbert._check_shape(ctx, t))
+    val = float(_radii(ctx, seminorm, t[None], grid_points)[0])
+    if not with_error_bound:
+        return val
     _, r0, i0 = semihilbert._cartesian_parts(ctx, t)
-    if not a_norm:
-        evaluate = functools.partial(seminorm.evaluate, ctx)
-        _, val = sup_on_circle(functools.partial(_profile, evaluate, r0, i0), grid_points)
-        if not with_error_bound:
-            return val
     lip = float(np.sum(seminorm.evaluate(ctx, np.stack([r0, i0]))))
     return val, lip * (math.pi / grid_points) / 2.0

@@ -328,7 +328,7 @@ def is_a_positive(ctx: SemiHilbertContext, t) -> bool:
 
 def is_a_normal(ctx: SemiHilbertContext, t) -> bool:
     """Whether T# T = T T# within rtol |T#| |T| (requires membership)."""
-    t = require_member(ctx, t)
+    t = require_member(ctx, _check_shape(ctx, t))
     ts = _adjoint_of_member(ctx, t)
     dev = linalg.spectral_norm(ts @ t - t @ ts)
     return dev <= ctx.rtol * linalg.spectral_norm(ts) * linalg.spectral_norm(t)
@@ -340,7 +340,7 @@ def is_a_unitary(ctx: SemiHilbertContext, t) -> bool:
     Tested on the range block B: both B* B and B B* must equal the
     identity on range(A), within rtol (1 + |B|^2).
     """
-    b = _member_block(ctx, t)
+    b = _member_block(ctx, _check_shape(ctx, t))
     eye = np.eye(ctx.rank)
     tol = ctx.rtol * (1.0 + linalg._spectral_norm(b) ** 2)
     return (

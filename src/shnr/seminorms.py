@@ -474,7 +474,7 @@ def big_omega_pair_form(ctx, t) -> float:
     partial maximizations (each is a top eigenvector of a rank-2 Hermitian
     form).  Shares no code path with the range-block evaluator.
     """
-    tt = semihilbert.compress(ctx, t)
+    tt = semihilbert.compress(ctx, semihilbert._check_shape(ctx, t))
     n = tt.shape[0]
     if float(np.linalg.norm(tt)) == 0.0:
         return 0.0
@@ -514,7 +514,7 @@ def gamma_a(ctx, t) -> float:
     Omega_A(T) and sqrt(2) |T|_A.  Computed from the range block B of T:
     the blocks of T T# + T# T and T^2 are B B* + B* B and B^2.
     """
-    b = semihilbert._member_block(ctx, t)
+    b = semihilbert._member_block(ctx, semihilbert._check_shape(ctx, t))
     bh = b.conj().T
     branch1 = math.sqrt(linalg._spectral_norm(b @ bh + bh @ b))
     branch2 = math.sqrt(linalg._spectral_norm(b) ** 2 + radius._level_set_radius(b @ b))

@@ -17,9 +17,9 @@ driver (:func:`_drive`) runs the evaluators of a chunk of instances in
 lockstep: it checks each instance's operands with one stacked membership
 call, which also gives their r x r range blocks, groups the blocks of all
 instances by (request kind, seminorm, r), and answers each group with one
-call: the stacked level set for A-norm radii, the seminorm's own
-``evaluate`` for values, and the lockstep angle engine
-(``radius._sup_lockstep``) for other radii and for sweeps.  The range
+call: the seminorm's own ``evaluate`` for values, ``radius._radii`` for
+radii and ``radius._sweeps`` for sweeps, the same functions that
+``radius.generalized_radius`` calls on one n x n operator.  The range
 block of a member under A is an operator under the identity context of
 size r (``semihilbert._identity_context``), bit for bit, so every such call
 goes through the public ``evaluate`` on that context; its A-real parts are
@@ -53,7 +53,7 @@ import numpy as np
 from . import __version__, radius, semihilbert, seminorms, serialize
 from .exceptions import RankOutOfRangeError, ShnrError
 from .linalg import DEFAULT_RTOL, _check_rtol, herm, spectral_norm
-from .semihilbert import a_adjoint, a_operator_norm, build_context, re_a, require_member
+from .semihilbert import a_adjoint, build_context, re_a, require_member
 from .seminorms import SeminormDescriptor
 
 _SLACK_FLOOR = 1e-300
@@ -418,17 +418,6 @@ def _neg_hypot(re, im):
     return -np.hypot(re, im)
 
 
-def _sweep_objective(evaluate, r0, i0, combine, phis, owner):
-    """combine(p(theta), p(theta + pi/2)) at theta = phi / 2 for the A-real
-    profile p of each member, ``r0[owner[j]]`` and ``i0[owner[j]]`` for
-    angle j: the sweep has period pi/2 in theta, so it runs over phi = 2
-    theta, and both angles go into one profile call."""
-    thetas = phis / 2.0
-    vals = radius._profile(evaluate, r0, i0, np.concatenate([thetas, thetas + math.pi / 2.0]),
-                           np.concatenate([owner, owner]))
-    return combine(vals[: phis.size], vals[phis.size:])
-
-
 def _eval_c01(ctx, mats, n_desc):
     t = mats["T"]
     _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
@@ -646,19 +635,18 @@ def _eval_c27(ctx, mats, n_desc):
     flat = abs(w - nt / 2) <= tol  # lower-bound attainment forces flat angle profile
     quadratic = abs(w - target) <= tol  # quadratic lower-bound attainment
     held = flat or quadratic
+    if not held:
+        return InstanceOutcome([], premise_held=False)
+    # the Im value at each angle is the Re value 32 steps on: Re covers both
+    parts = radius._profile(lambda x: x, r0, i0, np.linspace(0.0, math.pi, 64, endpoint=False))
+    omega_flat = n_desc.base_id == "big_omega" and flat
+    vals = yield _n(n_desc, *parts) + (_n(_A_NORM, *parts) if omega_flat else ())
     pairs = []
-    if held:
-        # the Im value at each angle is the Re value 32 steps on: Re covers both
-        thetas = np.linspace(0.0, math.pi, 64, endpoint=False)
-        vals = radius._profile(functools.partial(n_desc.evaluate, ctx), r0, i0, thetas)
-        for bound, premise in ((nt / 2, flat), (target, quadratic)):
-            if premise:
-                pairs.extend((v, bound) for v in vals)
-        if n_desc.base_id == "big_omega" and flat:
-            re_norms = radius._profile(
-                functools.partial(a_operator_norm, ctx), r0, i0, thetas
-            )
-            pairs.extend((nt, 2 * _SQRT2 * v) for v in re_norms)
+    for bound, premise in ((nt / 2, flat), (target, quadratic)):
+        if premise:
+            pairs.extend((v, bound) for v in vals[:len(parts)])
+    # Omega_A(T) <= 2 sqrt2 |Re_A(e^{i theta} T)|_A when the profile is flat
+    pairs.extend((nt, 2 * _SQRT2 * v) for v in vals[len(parts):])
     return InstanceOutcome(pairs, premise_held=held)
 
 
@@ -927,7 +915,9 @@ def _solve(asks):
 
     Each instance's operands pass one stacked membership check and become
     range blocks.  The blocks of all instances are grouped by request kind,
-    seminorm and size r, and each group is one call (:func:`_answer`).
+    seminorm and size r, and each group is one call (:func:`_answer`); equal
+    descriptors share a group, so the A-norm radii of a check and those it
+    asks for through ``_A_NORM`` go into one level set.
     When a group's call raises what marks an instance incomplete
     (``LinAlgError``, or a ``ShnrError`` from a seminorm's own evaluate),
     the group is solved again one instance at a time, so only a failing
@@ -942,8 +932,6 @@ def _solve(asks):
             continue
         got[key] = [None] * len(request)
         for j, ((kind, n_desc, _), b) in enumerate(zip(request, blocks)):
-            if kind == _RADIUS and radius._on_level_set(n_desc):
-                n_desc = None           # the level set reads no seminorm
             group = groups.setdefault((kind, n_desc, len(b)), {})
             group.setdefault(key, []).append((j, b))
     for (kind, n_desc, _), group in groups.items():
@@ -965,23 +953,17 @@ def _solve(asks):
 
 
 def _answer(kind, n_desc, blocks):
-    """The answers for a (k, r, r) stack of range blocks of one group: A-norm
-    radii (``n_desc`` None) from the stacked level set; otherwise through
-    ``n_desc.evaluate`` on the identity context of size r, where each block
-    is its own operator: values directly, and radii and sweeps from the
-    lockstep angle engine on the blocks' A-real parts."""
-    if n_desc is None:
-        return radius._level_set_radius(blocks)
+    """The answers for a (k, r, r) stack of range blocks of one group, each
+    block its own operator under the identity context of size r: values
+    from ``n_desc.evaluate``, radii from :func:`radius._radii` and sweeps
+    from :func:`radius._sweeps`, the functions behind
+    :func:`radius.generalized_radius` too."""
     ctx = semihilbert._identity_context(blocks.shape[-1])
-    evaluate = functools.partial(n_desc.evaluate, ctx)
     if kind == _VALUE:
-        return evaluate(blocks)
-    _, r0, i0 = semihilbert._cartesian_parts(ctx, blocks)
+        return n_desc.evaluate(ctx, blocks)
     if kind == _RADIUS:
-        objective, grid = functools.partial(radius._profile, evaluate, r0, i0), _THETA_GRID
-    else:
-        objective, grid = functools.partial(_sweep_objective, evaluate, r0, i0, kind), _SWEEP_GRID
-    return radius._sup_lockstep(objective, len(blocks), grid)[1]
+        return radius._radii(ctx, n_desc, blocks, _THETA_GRID)
+    return radius._sweeps(ctx, n_desc, blocks, kind, _SWEEP_GRID)
 
 
 def _answer_or_error(kind, n_desc, blocks):
@@ -1077,11 +1059,14 @@ def run_suite(
     Deterministic for a fixed config: per-instance seeds derive from
     (seed, check number, instance index), aggregation is index-ordered, so
     the report bytes do not depend on ``threads``.  Raises ``ValueError``
-    for ``threads`` below 1 or an ``only`` that is given but names no
-    check, and ``KeyError`` for an unknown check id.
+    for ``threads`` below 1, for ``alphas`` that name no weight, or for an
+    ``only`` that is given but names no check, and ``KeyError`` for an
+    unknown check id.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if not alphas:
+        raise ValueError("alphas names no weight")
     specs = catalog()
     if only is not None:
         wanted = set(only)

@@ -144,3 +144,36 @@ def test_draws_take_one_seed():
     ]
     assert len(fns) > 40
     assert [fn.__name__ for fn in fns if "rng" in inspect.signature(fn).parameters] == []
+
+
+def _calls_by_function(path):
+    """Per top-level definition of a module: the attributes X it reads as
+    ``radius.X``, and the names it calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = {}
+    for stmt in tree.body:
+        radius_attrs, called = set(), set()
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "radius"):
+                radius_attrs.add(node.attr)
+            if isinstance(node, ast.Call):
+                func = node.func
+                called.add(func.attr if isinstance(func, ast.Attribute)
+                           else getattr(func, "id", None))
+        out[getattr(stmt, "name", "<module>")] = (radius_attrs, called)
+    return out
+
+
+def test_every_angle_supremum_takes_one_route():
+    # generalized_radius and the catalog both reach the level set and the
+    # angle engine through radius._radii and radius._sweeps, with n x n
+    # operators or with range blocks; the catalog's only other use of
+    # radius is _profile, which builds C27's angle combinations
+    verify_uses = set().union(*(a for a, _ in _calls_by_function(SRC / "verify.py").values()))
+    assert verify_uses <= {"_radii", "_sweeps", "_profile"}
+    in_radius = _calls_by_function(SRC / "radius.py")
+    assert not in_radius["generalized_radius"][1] & {
+        "_level_set_radius", "_sup_lockstep", "sup_on_circle"}
+    assert sorted(name for name, (_, called) in in_radius.items()
+                  if "_sup_lockstep" in called) == ["_radii", "_sweeps", "sup_on_circle"]

@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from shnr import (
+    DimensionMismatchError,
     InstanceGenConfig,
     SeminormDescriptor,
     a_adjoint,
     a_norm_seminorm,
     a_alpha_seminorm,
     a_operator_norm,
+    big_omega_pair_form,
     big_omega_seminorm,
     build_context,
     compress,
     gamma_a,
     generalized_radius,
     im_a,
+    is_a_normal,
+    is_a_unitary,
     omega_a,
     omega_a_fast,
     spectral_norm,
@@ -58,6 +62,31 @@ class TestConfig:
             generalized_radius(ctx, A_NORM, t, grid_points=4)
         with pytest.raises(ValueError):
             generalized_radius(ctx, A_NORM_GENERIC, t, grid_points=7)
+
+    @pytest.mark.parametrize("case", [
+        ("generalized_radius[a_norm]", lambda ctx, t: generalized_radius(ctx, A_NORM, t)),
+        ("generalized_radius[big_omega]",
+         lambda ctx, t: generalized_radius(ctx, big_omega_seminorm(), t)),
+        ("omega_a", omega_a),
+        ("gamma_a", gamma_a),
+        ("big_omega_pair_form", big_omega_pair_form),
+        ("is_a_unitary", is_a_unitary),
+        ("is_a_normal", is_a_normal),
+        ("grid 100.0", lambda ctx, t: generalized_radius(ctx, A_NORM, t[0], grid_points=100.0)),
+        ("grid 8.5", lambda ctx, t: generalized_radius(ctx, A_NORM, t[0], grid_points=8.5)),
+        ("grid 100.0 [big_omega]",
+         lambda ctx, t: generalized_radius(ctx, big_omega_seminorm(), t[0], grid_points=100.0)),
+        ("sup_on_circle grid 100.0", lambda ctx, t: sup_on_circle(np.cos, 100.0)),
+    ], ids=lambda case: case[0])
+    def test_one_operator_and_integer_grid(self, case):
+        # these entry points take one operator: a stack of two members is a
+        # DimensionMismatchError, and a grid that is not an integer of at
+        # least 8 a ValueError, under every seminorm
+        name, fn = case
+        ctx = make_ctx(3, 2, seed=0)
+        t = np.stack([verify.random_member(ctx, seed=s, unit_norm=True) for s in (1, 2)])
+        with pytest.raises(ValueError if "grid" in name else DimensionMismatchError):
+            fn(ctx, t)
 
 
 class TestEngines:

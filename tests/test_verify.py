@@ -291,6 +291,11 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="threads"):
             run_suite(SMALL_CFG, only=["C18"], threads=threads)
 
+    def test_alphas_that_name_no_weight_rejected(self):
+        # checked up front, as ``only`` is, before any instance is drawn
+        with pytest.raises(ValueError, match="alphas"):
+            run_suite(SMALL_CFG, only=["C21"], alphas=())
+
     def test_pinned_remark_values(self):
         rep = run_suite(SMALL_CFG, only=["C26"])
         c26 = rep.checks[0]
