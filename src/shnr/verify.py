@@ -14,17 +14,21 @@ Evaluators ask for what they need of a seminorm by yielding one request:
 radii w_N(T) (``_w``), values N(T) (``_n``) and the C02/C07 sweeps of
 N(Re_A(e^{i theta} T)) against N(Im_A(e^{i theta} T)) (``_sweep``).  One
 driver (:func:`_drive`) runs the evaluators of a chunk of instances in
-lockstep: it checks each instance's operands with one stacked membership
-call, which also gives their r x r range blocks, groups the blocks of all
-instances by (request kind, seminorm, r), and answers each group with one
-call: the seminorm's own ``evaluate`` for values, ``radius._radii`` for
-radii and ``radius._sweeps`` for sweeps, the same functions that
-``radius.generalized_radius`` calls on one n x n operator.  The range
-block of a member under A is an operator under the identity context of
-size r (``semihilbert._identity_context``), bit for bit, so every such call
-goes through the public ``evaluate`` on that context; its A-real parts are
-exactly Hermitian there.  The catalog pays each solver's fixed cost per
-chunk, not per instance.
+lockstep.  It checks the operands each instance draws with one stacked
+membership call; every operand an evaluator builds from them by sums,
+products and A-adjoints is then a member by construction (the
+A-adjointable operators form an algebra closed under these), so the driver
+takes the r x r range blocks of the requested operands unchecked, groups
+the blocks of all instances by (request kind, seminorm, r), and answers
+each group with one call: the seminorm's own ``evaluate`` for values,
+``radius._radii`` for radii and ``radius._sweeps`` for sweeps, the same
+functions that ``radius.generalized_radius`` calls on one n x n operator.
+The range block of a member under A is an operator under the identity
+context of size r (``semihilbert._identity_context``), bit for bit, so
+every such call goes through the public ``evaluate`` on that context; its
+A-real parts are exactly Hermitian there.  The catalog pays each solver's
+fixed cost per chunk, not per instance.  C22's ``gamma_A`` and C26's
+pair form are direct oracle calls, which check their own argument.
 
 Slack bookkeeping: for an obligation lhs <= rhs the relative slack is
 (rhs - lhs) / max(rhs, 1e-300); equalities use the symmetric deviation
@@ -53,7 +57,7 @@ import numpy as np
 from . import __version__, radius, semihilbert, seminorms, serialize
 from .exceptions import RankOutOfRangeError, ShnrError
 from .linalg import DEFAULT_RTOL, _check_rtol, herm, spectral_norm
-from .semihilbert import a_adjoint, build_context, re_a, require_member
+from .semihilbert import build_context, require_member
 from .seminorms import SeminormDescriptor
 
 _SLACK_FLOOR = 1e-300
@@ -200,8 +204,8 @@ def probe_properties(ctx, descriptor: SeminormDescriptor, trials: int,
     A-selfadjoint operators, matching how the theorems invoke them.
     Deterministic for a fixed seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not _is_count(trials, 1):
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
     ev = descriptor.evaluate
     worst = {
         "nonnegativity": 0.0,
@@ -371,7 +375,11 @@ def _slack(kind: str, lhs: float, rhs: float) -> float:
 # combine, T)`` tuples, and the runner sends back one number per entry as a
 # tuple in the same order, then takes the outcome it returns.  The runner
 # collects the requests of many instances and answers each kind of them in
-# stacked calls on range blocks.
+# stacked calls on range blocks.  The runner has validated the operands in
+# ``mats`` before the call, so an evaluator builds its operands with the
+# unchecked member algebra (``semihilbert._adjoint_of_member`` and
+# ``_cartesian_parts``): sums, products and A-adjoints of members are
+# members.
 
 #: Angle grid of every radius in a suite run (echoed in the report).
 _THETA_GRID = 180
@@ -384,8 +392,10 @@ _GRIDS = {
 #: Grid of the C02/C07 sweeps, in 2 theta over [0, pi): the 64 angles
 #: theta = k pi / 64 of the A-real profile.
 _SWEEP_GRID = 32
-#: The seminorm whose radius is omega_A, for checks that compare with it.
-_A_NORM = seminorms.a_norm_seminorm()
+#: The seminorm whose radius is omega_A, for checks that compare with it;
+#: built at each request, so that a wrapper installed on
+#: ``semihilbert.a_operator_norm`` (perfbench's tracer) sees its values.
+_a_norm = seminorms.a_norm_seminorm
 
 
 #: Request kinds besides the sweeps, which are keyed by their combine.
@@ -420,7 +430,7 @@ def _neg_hypot(re, im):
 
 def _eval_c01(ctx, mats, n_desc):
     t = mats["T"]
-    _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
+    _, r0, i0 = semihilbert._cartesian_parts(ctx, t)
     w, nt, nr, ni = yield _w(n_desc, t) + _n(n_desc, t, r0, i0)
     return InstanceOutcome([(nt / 2 + abs(nr - ni) / 2, w)])
 
@@ -443,17 +453,17 @@ def _eval_c03(ctx, mats, n_desc):
 
 def _eval_c04(ctx, mats, n_desc):
     t = mats["T"]
-    ops = [t, a_adjoint(ctx, t)]
+    ops = [t, semihilbert._adjoint_of_member(ctx, t)]
     if n_desc.base_id == "a_norm" and "U" in mats:
         u = mats["U"]
-        ops.append(a_adjoint(ctx, u) @ t @ u)
+        ops.append(semihilbert._adjoint_of_member(ctx, u) @ t @ u)
     w_t, w_adj, *w_conj = yield _w(n_desc, *ops)
     return InstanceOutcome([(w_t, w_adj)] + [(w, w_t) for w in w_conj])
 
 
 def _eval_c05(ctx, mats, n_desc):
     t = mats["T"]
-    c, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
+    c, r0, i0 = semihilbert._cartesian_parts(ctx, t)
     w, q, nr, ni = yield _w(n_desc, t) + _n(n_desc, c @ t + t @ c, r0, i0)
     gap = abs(nr ** 2 - ni ** 2)
     return InstanceOutcome([(math.sqrt(q / 4 + gap / 2), w)])
@@ -461,7 +471,7 @@ def _eval_c05(ctx, mats, n_desc):
 
 def _eval_c06(ctx, mats, n_desc):
     t = mats["T"]
-    c = a_adjoint(ctx, t)
+    c = semihilbert._adjoint_of_member(ctx, t)
     w, q = yield _w(n_desc, t) + _n(n_desc, c @ t + t @ c)
     pairs = [(math.sqrt(q) / 2, w)]
     if n_desc.a_increasing and n_desc.power_property:
@@ -471,7 +481,7 @@ def _eval_c06(ctx, mats, n_desc):
 
 def _eval_c07(ctx, mats, n_desc):
     t = mats["T"]
-    _, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
+    _, r0, i0 = semihilbert._cartesian_parts(ctx, t)
     w, nr, ni, neg_inf = yield (
         _w(n_desc, t) + _n(n_desc, r0, i0) + _sweep(n_desc, _neg_hypot, t)
     )
@@ -480,14 +490,14 @@ def _eval_c07(ctx, mats, n_desc):
 
 def _eval_c08(ctx, mats, n_desc):
     t = mats["T"]
-    c = a_adjoint(ctx, t)
+    c = semihilbert._adjoint_of_member(ctx, t)
     w, w2, q = yield _w(n_desc, t, t @ t) + _n(n_desc, c @ t + t @ c)
     return InstanceOutcome([(w, math.sqrt(0.5 * w2 + 0.25 * q))])
 
 
 def _eval_c09(ctx, mats, n_desc):
     t = mats["T"]
-    c = a_adjoint(ctx, t)
+    c = semihilbert._adjoint_of_member(ctx, t)
     w, w2, q = yield _w(n_desc, t, t @ t) + _n(n_desc, c @ t + t @ c)
     return InstanceOutcome([(w, (q * q / 8 + w2 * w2 / 2) ** 0.25)])
 
@@ -507,8 +517,8 @@ def _eval_c11(ctx, mats, n_desc):
 
 def _eval_c12(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
-    ts_adj = a_adjoint(ctx, t)
-    ss_adj = a_adjoint(ctx, s)
+    ts_adj = semihilbert._adjoint_of_member(ctx, t)
+    ss_adj = semihilbert._adjoint_of_member(ctx, s)
     w_ts, w_t, w_s, *w_mixed, n_t, n_s = yield _w(
         n_desc, t @ s, t, s,
         *(t @ s + sgn * op for sgn in (1.0, -1.0) for op in (s @ ts_adj, ss_adj @ t)),
@@ -521,7 +531,7 @@ def _eval_c12(ctx, mats, n_desc):
 
 def _eval_c13(ctx, mats, n_desc):
     t, s = mats["T"], mats["S"]
-    ts_adj = a_adjoint(ctx, t)
+    ts_adj = semihilbert._adjoint_of_member(ctx, t)
     w_s, *w_mixed, n_t = yield _w(
         n_desc, s, *(t @ s + sgn * (s @ ts_adj) for sgn in (1.0, -1.0))
     ) + _n(n_desc, t)
@@ -538,8 +548,8 @@ def _eval_c14(ctx, mats, n_desc):
 
 def _eval_c15(ctx, mats, n_desc):
     t, s, x = mats["T"], mats["S"], mats["X"]
-    ts_adj = a_adjoint(ctx, t)
-    ss_adj = a_adjoint(ctx, s)
+    ts_adj = semihilbert._adjoint_of_member(ctx, t)
+    ss_adj = semihilbert._adjoint_of_member(ctx, s)
     w_x, *w_mixed, n_t, n_s = yield _w(
         n_desc, x,
         *(t @ x @ s + sgn * (ss_adj @ x @ ts_adj) for sgn in (1.0, -1.0)),
@@ -551,7 +561,7 @@ def _eval_c15(ctx, mats, n_desc):
 def _eval_c16(ctx, mats, n_desc):
     t = mats["T"]
     x = mats["X"]
-    ts_adj = a_adjoint(ctx, t)
+    ts_adj = semihilbert._adjoint_of_member(ctx, t)
     w_x, w_txt, w_ttx, n_t = yield (
         _w(n_desc, x, t @ x @ ts_adj, ts_adj @ x @ t) + _n(n_desc, t)
     )
@@ -561,8 +571,8 @@ def _eval_c16(ctx, mats, n_desc):
 
 def _eval_c18(ctx, mats, n_desc):
     t = mats["T"]
-    c = a_adjoint(ctx, t)
-    n_t, n_ct, n_tc = yield _n(_A_NORM, t, c @ t, t @ c)
+    c = semihilbert._adjoint_of_member(ctx, t)
+    n_t, n_ct, n_tc = yield _n(_a_norm(), t, c @ t, t @ c)
     return InstanceOutcome([(n_ct, n_t ** 2), (n_tc, n_t ** 2)])
 
 
@@ -583,33 +593,33 @@ def _eval_c19(ctx, mats, n_desc):
 
 
 def _eval_c20(ctx, mats, n_desc):
-    h = re_a(ctx, mats["T"])
-    n_h, a_h = yield _n(n_desc, h) + _n(_A_NORM, h)
+    h = semihilbert._cartesian_parts(ctx, mats["T"])[1]
+    n_h, a_h = yield _n(n_desc, h) + _n(_a_norm(), h)
     return InstanceOutcome([(n_h, a_h)])
 
 
 def _eval_c21(ctx, mats, n_desc):
     t = mats["T"]
-    w, w_a = yield _w(n_desc, t) + _w(_A_NORM, t)
+    w, w_a = yield _w(n_desc, t) + _w(_a_norm(), t)
     return InstanceOutcome([(w, w_a)])
 
 
 def _eval_c22(ctx, mats, n_desc):
     t = mats["T"]
-    na, om = yield _n(_A_NORM, t) + _n(n_desc, t)
+    na, om = yield _n(_a_norm(), t) + _n(n_desc, t)
     gam = seminorms.gamma_a(ctx, t)
     return InstanceOutcome([(na, om), (om, gam), (gam, _SQRT2 * na)])
 
 
 def _eval_c23(ctx, mats, n_desc):
     t = mats["T"]
-    om, na = yield _n(n_desc, t) + _n(_A_NORM, t)
+    om, na = yield _n(n_desc, t) + _n(_a_norm(), t)
     return InstanceOutcome([(om, _SQRT2 * na)])
 
 
 def _eval_c24(ctx, mats, n_desc):
     t = mats["T"]
-    w, w_a = yield _w(n_desc, t) + _w(_A_NORM, t)
+    w, w_a = yield _w(n_desc, t) + _w(_a_norm(), t)
     return InstanceOutcome([(w, _SQRT2 * w_a)])
 
 
@@ -628,7 +638,7 @@ def _eval_c26(ctx, mats, n_desc):
 
 def _eval_c27(ctx, mats, n_desc):
     t = mats["T"]
-    c, r0, i0 = semihilbert._cartesian_parts(ctx, require_member(ctx, t))
+    c, r0, i0 = semihilbert._cartesian_parts(ctx, t)
     w, nt, q = yield _w(n_desc, t) + _n(n_desc, t, c @ t + t @ c)
     tol = 1e-7 * nt
     target = math.sqrt(q) / 2
@@ -640,7 +650,7 @@ def _eval_c27(ctx, mats, n_desc):
     # the Im value at each angle is the Re value 32 steps on: Re covers both
     parts = radius._profile(lambda x: x, r0, i0, np.linspace(0.0, math.pi, 64, endpoint=False))
     omega_flat = n_desc.base_id == "big_omega" and flat
-    vals = yield _n(n_desc, *parts) + (_n(_A_NORM, *parts) if omega_flat else ())
+    vals = yield _n(n_desc, *parts) + (_n(_a_norm(), *parts) if omega_flat else ())
     pairs = []
     for bound, premise in ((nt / 2, flat), (target, quadratic)):
         if premise:
@@ -913,23 +923,21 @@ def _solve(asks):
     request its evaluator yielded; the result maps each key to the tuple of
     answers or to the error that made the instance fail.
 
-    Each instance's operands pass one stacked membership check and become
-    range blocks.  The blocks of all instances are grouped by request kind,
-    seminorm and size r, and each group is one call (:func:`_answer`); equal
-    descriptors share a group, so the A-norm radii of a check and those it
-    asks for through ``_A_NORM`` go into one level set.
-    When a group's call raises what marks an instance incomplete
+    Every operand is built from the instance's validated operands by sums,
+    products and A-adjoints, so it is a member by construction (the
+    A-adjointable operators form an algebra closed under these) and goes
+    straight to its range block.  The blocks of all instances are grouped by
+    request kind, seminorm and size r, and each group is one call
+    (:func:`_answer`); equal descriptors share a group, so the A-norm radii
+    of a check and those it asks for through ``_a_norm()`` go into one
+    level set.  When a group's call raises what marks an instance incomplete
     (``LinAlgError``, or a ``ShnrError`` from a seminorm's own evaluate),
     the group is solved again one instance at a time, so only a failing
     instance fails.
     """
     got, groups = {}, {}
     for key, (ctx, request) in asks.items():
-        try:
-            blocks = semihilbert._member_block(ctx, np.stack([t for _, _, t in request]))
-        except _INSTANCE_ERRORS as exc:
-            got[key] = exc
-            continue
+        blocks = semihilbert._range_block(ctx, np.stack([t for _, _, t in request]))
         got[key] = [None] * len(request)
         for j, ((kind, n_desc, _), b) in enumerate(zip(request, blocks)):
             group = groups.setdefault((kind, n_desc, len(b)), {})
@@ -978,16 +986,25 @@ def _drive(spec, instances):
     in lockstep and return, per instance, its InstanceOutcome or the error
     (``ShnrError`` or ``LinAlgError``) that made it incomplete.
 
-    Every evaluator is called once.  Those that yield requests run to
-    their request; the requests of all instances are answered together
-    (:func:`_solve`: one membership check an instance, then one call per
-    group of blocks), each generator gets its answers back, and the round
-    repeats until every evaluator has returned.
+    The square operands an instance draws (every matrix of ``mats`` but
+    C19's vectors, which are (n, 1) columns) pass one stacked
+    :func:`require_member` before its evaluator is called, and a non-member
+    fails that instance alone; evaluators build every other operand from
+    them, so nothing after this checks membership again.  Every evaluator
+    is called once.  Those that yield requests run to their request; the
+    requests of all instances are answered together (:func:`_solve`: one
+    call per group of range blocks), each generator gets its answers back,
+    and the round repeats until every evaluator has returned.
     """
     out = [None] * len(instances)
     gens = {}
     for i, (ctx, mats, n_desc) in enumerate(instances):
         try:
+            # shapes first, so that a replayed operand of the wrong size is
+            # named as such and not left to np.stack
+            ops = [semihilbert._check_shape(ctx, m) for m in mats.values() if m.shape[-1] > 1]
+            if ops:
+                require_member(ctx, np.stack(ops))
             got = spec.evaluator(ctx, mats, n_desc)
         except _INSTANCE_ERRORS as exc:
             got = exc
@@ -1059,19 +1076,20 @@ def run_suite(
     Deterministic for a fixed config: per-instance seeds derive from
     (seed, check number, instance index), aggregation is index-ordered, so
     the report bytes do not depend on ``threads``.  Raises ``ValueError``
-    for ``threads`` below 1, for ``alphas`` that name no weight, or for an
-    ``only`` that is given but names no check, and ``KeyError`` for an
-    unknown check id.
+    for ``threads`` that is not an integer of at least 1, for ``alphas``
+    that name no weight, or for an ``only`` that is a bare string or is
+    given but names no check, and ``KeyError`` for an unknown check id.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    if not _is_count(threads, 1):
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
     if not alphas:
         raise ValueError("alphas names no weight")
     specs = catalog()
     if only is not None:
         wanted = set(only)
-        if not wanted:
-            raise ValueError("only names no check")
+        # a bare string would be read as its characters
+        if not wanted or isinstance(only, str):
+            raise ValueError(f"only must be a collection of check ids, got {only!r}")
         unknown = wanted - {s.id for s in specs}
         if unknown:
             raise KeyError(f"unknown check ids: {sorted(unknown)}")

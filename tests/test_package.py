@@ -177,3 +177,19 @@ def test_every_angle_supremum_takes_one_route():
         "_level_set_radius", "_sup_lockstep", "sup_on_circle"}
     assert sorted(name for name, (_, called) in in_radius.items()
                   if "_sup_lockstep" in called) == ["_radii", "_sweeps", "sup_on_circle"]
+
+
+def test_catalog_checks_membership_once_per_instance():
+    # the driver validates what an instance draws; the operands evaluators
+    # build from it are members by construction, so no evaluator or the
+    # request solver checks again.  probe_properties probes the public
+    # a_adjoint, and C22's gamma_a and C26's pair form are oracles that
+    # check their own argument.
+    calls = _calls_by_function(SRC / "verify.py")
+
+    def callers(name):
+        return sorted(fn for fn, (_, called) in calls.items() if name in called)
+
+    assert callers("require_member") == ["_drive"]
+    assert callers("a_adjoint") == ["probe_properties"]
+    assert callers("re_a") == callers("_member_block") == []

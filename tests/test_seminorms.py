@@ -389,5 +389,7 @@ class TestProber:
 
     def test_trials_validation(self):
         ctx = make_ctx(2, 2, seed=19)
-        with pytest.raises(ValueError):
-            probe_properties(ctx, a_norm_seminorm(), trials=0)
+        # a float or a bool is not a trial count, even where it compares >= 1
+        for trials in (0, 2.5, True):
+            with pytest.raises(ValueError, match="trials"):
+                probe_properties(ctx, a_norm_seminorm(), trials=trials)

@@ -345,7 +345,7 @@ class TestCatalogRoute:
         for i in range(30):
             ctx, ts = _members(3, (3, 2)[i % 2], 3, seed=200 + i)
             desc = list(DESCRIPTORS.values())[i % len(DESCRIPTORS)]
-            asks[i] = (ctx, verify._n(desc, *ts) + verify._n(verify._A_NORM, ts[0]))
+            asks[i] = (ctx, verify._n(desc, *ts) + verify._n(verify._a_norm(), ts[0]))
             want[i] = [desc.evaluate(ctx, t) for t in ts] + [a_norm_seminorm().evaluate(ctx, ts[0])]
         got = verify._solve(asks)
         for i in asks:

@@ -267,6 +267,17 @@ class TestRunSuite:
         with pytest.raises(ValueError, match=key):
             replay_witness(report_dict, "C01")
 
+    @pytest.mark.parametrize("check_id", ["C01", "C12"])
+    def test_replay_names_an_operand_of_the_wrong_size(self, small_report, check_id):
+        # the driver checks the shape of every drawn operand before it
+        # stacks them, so a T larger than A is named as such, also beside
+        # an S of the right size
+        report_dict = json.loads(serialize.dump_report(small_report.to_dict()))
+        wit = next(c for c in report_dict["checks"] if c["id"] == check_id)["worst_witness"]
+        wit["matrices"]["T"] = serialize.matrix_to_dict(np.eye(wit["dim"] + 1))
+        with pytest.raises(shnr.DimensionMismatchError):
+            replay_witness(report_dict, check_id)
+
     def test_replay_names_an_unknown_check(self, small_report):
         report_dict = json.loads(serialize.dump_report(small_report.to_dict()))
         with pytest.raises(ValueError, match="C99"):
@@ -285,8 +296,11 @@ class TestRunSuite:
         # a list that names no check is an error, not "every check"
         with pytest.raises(ValueError, match="only"):
             run_suite(SMALL_CFG, only=[])
+        # a bare string is not read as its characters
+        with pytest.raises(ValueError, match="only"):
+            run_suite(SMALL_CFG, only="C01")
 
-    @pytest.mark.parametrize("threads", [0, -2])
+    @pytest.mark.parametrize("threads", [0, -2, 2.5, True])
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
             run_suite(SMALL_CFG, only=["C18"], threads=threads)
@@ -368,9 +382,11 @@ class TestFailureIsolation:
     BAD = 5                      # an "n-1" cell: A has a kernel
     #: each check's seminorm, and the solver its failure is injected into:
     #: the level set (A-norm radii) or the seminorm's evaluate (values,
-    #: sweeps and the angle engine's radii)
+    #: sweeps and the angle engine's radii); C27's even instances (identity
+    #: A, square-zero T) meet its premise and make a second request round
     CASES = {
         "C01": (shnr.a_norm_seminorm(), "evaluate"),
+        "C04": (shnr.a_norm_seminorm(), "level set"),
         "C07": (shnr.a_norm_seminorm(), "evaluate"),
         "C12": (shnr.a_norm_seminorm(), "level set"),
         "C14": (shnr.a_norm_seminorm(), "level set"),
@@ -378,7 +394,11 @@ class TestFailureIsolation:
         "C21": (shnr.a_alpha_seminorm(0.5), "level set"),
         "C22": (shnr.big_omega_seminorm(), "evaluate"),
         "C24": (shnr.big_omega_seminorm(), "evaluate"),
+        "C27": (shnr.a_norm_seminorm(), "evaluate"),
     }
+    #: the drawn operand made bad, where it is not T: C04's A-unitary U
+    #: enters its operands only through U# T U
+    OPERAND = {"C04": "U"}
 
     @staticmethod
     def _instances(spec, count, desc):
@@ -407,12 +427,13 @@ class TestFailureIsolation:
         instances = self._instances(spec, 12, desc)
         want = verify._drive(spec, instances)
         ctx, mats, _ = instances[self.BAD]
+        key = self.OPERAND.get(check_id, "T")
         if failure == "non-member":
-            bad_t = mats["T"] + _non_member(ctx)
+            bad_t = mats[key] + _non_member(ctx)
             error = shnr.NotMemberError
         else:
             # a member, but the patched solver fails on any stack holding it
-            bad_t = 1e3 * mats["T"]
+            bad_t = 1e3 * mats[key]
             error = np.linalg.LinAlgError
             if solver == "level set":
                 exact = shnr.radius._level_set_radius
@@ -423,7 +444,7 @@ class TestFailureIsolation:
                     return exact(m)
 
                 monkeypatch.setattr(shnr.radius, "_level_set_radius", failing)
-        instances[self.BAD] = (ctx, {**mats, "T": bad_t}, desc)
+        instances[self.BAD] = (ctx, {**mats, key: bad_t}, desc)
         got = verify._drive(spec, instances)
         assert isinstance(got[self.BAD], error)
         for i, (g, w) in enumerate(zip(got, want)):
@@ -450,6 +471,30 @@ class TestFailureIsolation:
         )
         (chk,) = run_suite(cfg, only=["C14"], threads=threads).checks
         assert (chk.instances_run, chk.incomplete) == (11, 1)
+
+
+class TestOneMembershipCheck:
+    """The driver validates the operands each instance draws with one
+    stacked membership check; every operand built from them is a member by
+    construction and is not checked again."""
+
+    #: the operands each check draws: T, plus C04's U and C12's S
+    DRAWN = {"C01": 1, "C04": 2, "C12": 2, "C20": 1, "C27": 1}
+
+    @pytest.mark.parametrize("check_id", list(DRAWN))
+    def test_one_verdict_per_instance(self, monkeypatch, check_id):
+        verdicts = []
+        exact = shnr.semihilbert._member_verdict
+
+        def counted(ctx, t):
+            verdicts.append(t.shape)
+            return exact(ctx, t)
+
+        monkeypatch.setattr(shnr.semihilbert, "_member_verdict", counted)
+        (chk,) = run_suite(InstanceGenConfig(instances_per_check=9), only=[check_id]).checks
+        assert (chk.instances_run, chk.incomplete) == (9, 0)
+        # one stacked verdict an instance, on what it drew
+        assert [shape[0] for shape in verdicts] == [self.DRAWN[check_id]] * 9
 
 
 def _log_uniform_psd(lo):
@@ -608,6 +653,19 @@ class TestBenchmarkHooks:
                 calls = seen[f"verify.check.{cid}"][layer]
                 assert (calls > 0) == listed, (cid, layer, calls)
         assert all(not any(seen[f"verify.check.{c}"].values()) for c in a_norm_only)
+
+    def test_tracer_sees_a_norm_values_asked_for_by_name(self):
+        # C18 asks for its A-norm values through ``verify._a_norm()``, which
+        # builds the descriptor at each request, so its evaluate is the
+        # traced ``semihilbert.a_operator_norm``
+        tr = _load_tracer().Tracer()
+        tr.install()
+        try:
+            report = run_suite(InstanceGenConfig(instances_per_check=9), only=["C18"])
+        finally:
+            tr.uninstall()
+        assert report.incomplete_total == 0
+        assert tr.summary()[0]["semihilbert.a_operator_norm"] > 0
 
     def test_catalog_cells_inputs(self):
         # the (dim, rank profile, seminorm) cell count of perfbench's
