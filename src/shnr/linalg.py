@@ -33,10 +33,12 @@ from .exceptions import (
 DEFAULT_RTOL = 1e-10
 
 #: Byte cap of one stack of matrices handed to a batched kernel: the angle
-#: engine, the eigenvalue sweep, the closed-form Hermitian evaluations, the
-#: alpha ascent and the Omega_A bracket grid split their batches into
-#: stacks no bigger (see :func:`stack_slices`).  It bounds their
-#: scratch memory; larger caps raised the peak resident set measurably.
+#: engine, the eigenvalue sweep, the alpha ascent, the Omega_A bracket grid
+#: and the Omega_A refinement split their batches into stacks no bigger
+#: (see :func:`stack_slices`).  It bounds their scratch memory; larger caps
+#: raised the peak resident set measurably.  The closed-form Hermitian
+#: evaluations take their blocks in one call: that scratch is a copy of an
+#: input already in memory, which no slicing would bound.
 STACK_BYTES = 1 << 16
 
 

@@ -118,12 +118,13 @@ def _evaluate_stack(b, factor, width, solve):
     """Evaluate a range block B, or each nonzero block of a stack.
 
     A Hermitian block (an A-selfadjoint argument) is worth ``factor``
-    times the largest |eigenvalue| of herm(B), one batched eigenvalue call
-    per ``linalg.STACK_BYTES`` stack.  ``solve(tts, scale)`` returns the
-    values of a stack of the other blocks (``scale`` their Frobenius
-    norms) and batches ``width`` matrices per element, so it gets stacks
-    whose batches fit ``linalg.STACK_BYTES``.  A zero block is worth 0;
-    one block gives a float.
+    times the largest |eigenvalue| of herm(B), from one batched eigenvalue
+    call on all of them: its scratch is a copy of blocks already in memory.
+    ``solve(tts, scale)`` returns the values of a stack of the other blocks
+    (``scale`` their Frobenius norms) and holds ``width`` matrices of
+    scratch per block, so it gets stacks whose scratch fits
+    ``linalg.STACK_BYTES``.  A zero block is worth 0; one block gives a
+    float.
     """
     tts = b[None] if b.ndim == 2 else b
     item = tts.itemsize * tts.shape[-2] * tts.shape[-1]
@@ -132,8 +133,7 @@ def _evaluate_stack(b, factor, width, solve):
     hermitian = skew <= _HERMITIAN_SKEW_RTOL * scale
     out = np.zeros(len(tts))
     idx = np.flatnonzero(hermitian & (scale > 0.0))
-    for sl in linalg.stack_slices(idx.size, item):
-        out[idx[sl]] = factor * linalg.hermitian_abs_max(herm(tts[idx[sl]]))
+    out[idx] = factor * linalg.hermitian_abs_max(herm(tts[idx]))
     idx = np.flatnonzero(~hermitian & (scale > 0.0))
     for sl in linalg.stack_slices(idx.size, width * item):
         out[idx[sl]] = solve(tts[idx[sl]], scale[idx[sl]])
@@ -166,7 +166,7 @@ def a_norm_seminorm() -> SeminormDescriptor:
 # alpha seminorm
 
 #: The alpha ascent's seeded random starts (after its 6 eigenvector starts),
-#: stationarity tolerance (relative to max(1, |B|_F^2)) and sweep cap.
+#: stationarity tolerance (relative to |B|_F^2) and sweep cap.
 _ALPHA_RANDOM_STARTS = 26
 _ALPHA_GTOL = 1e-9
 _ALPHA_MAX_ITER = 300
@@ -232,7 +232,7 @@ def _alpha_ascent(tts, scale, alpha):
     for _ in range(_ALPHA_MAX_ITER):
         vals, q = _alpha_objective(ta, ya, alpha)
         top = vals.max(axis=1)
-        stall = np.where(top <= best_a * (1 + 1e-14) + 1e-30, stall + 1, 0)
+        stall = np.where(top <= best_a * (1 + 1e-14), stall + 1, 0)
         stop = stall >= 2
         if stop.any():
             best[idx[stop]], y[idx[stop]] = best_a[stop], ya[stop]
@@ -256,7 +256,7 @@ def _alpha_ascent(tts, scale, alpha):
     ) + (1.0 - alpha) * _matvec(f_mat, yk)
     grad -= _vdot(yk, grad)[:, None] * yk
     gnorm = np.linalg.norm(grad, axis=1)
-    polish = np.flatnonzero(gnorm > _ALPHA_GTOL * np.maximum(1.0, scale**2))
+    polish = np.flatnonzero(gnorm > _ALPHA_GTOL * scale**2)
     if polish.size:
         # rare: polish with a few extra sweeps on the winners alone
         y1 = yk[polish, None]
@@ -377,7 +377,7 @@ def _omega_refine(tts, u, v):
         z1 = _vdot(v, _matvec(tts, u))
         z2 = _vdot(v, _matvec(tta, u))
         r = np.hypot(np.abs(z1), np.abs(z2))
-        done = r <= best * (1.0 + 1e-14) + 1e-30
+        done = r <= best * (1.0 + 1e-14)
         if done.any():
             out[idx[done]] = np.maximum(best[done], r[done])
             keep = ~done
@@ -428,8 +428,10 @@ def _big_omega_eval(ctx, t):
     homogeneity, leaving alpha = cos(t) >= 0 and beta = e^{i psi} sin(t)
     on t in [0, pi/2], psi in [0, 2 pi).  The grid only chooses where the
     refinement starts; the default 12 x 24 grid is 288 matrices per
-    block, in batched eigenvalue calls of at most
-    ``linalg.STACK_BYTES``.  Why the coarse default is sound:
+    block, which :func:`_omega_grid` builds in batched eigenvalue calls of
+    at most ``linalg.STACK_BYTES``.  One :func:`_omega_refine` lockstep
+    serves every block of a ``_evaluate_stack`` slice.  Why the coarse
+    default is sound:
 
     * every returned value is lam_max at a grid point or an iterate of
       :func:`_omega_refine`, i.e. |alpha T + beta T#|_A at a feasible
@@ -452,8 +454,12 @@ def _big_omega_eval(ctx, t):
     |S|_2^2 / (sqrt(2) |H|_2).
     """
     grid = (OMEGA_T_GRID, OMEGA_PSI_GRID, OMEGA_REFINE_STARTS)
+    # a slice's scratch is the refinement's two stacks (B and B* at each
+    # start) per block; the grid bounds its own batches.  Narrower slices
+    # split the refinement over more calls and raised the peak of a
+    # 40-block stack at r = 16 from 641 to 1002 KiB; wider ones ran slower
     return _evaluate_stack(semihilbert._member_block(ctx, t), math.sqrt(2.0),
-                           grid[0] * grid[1], lambda tts, scale: _omega_solve(tts, *grid))
+                           2 * grid[2], lambda tts, scale: _omega_solve(tts, *grid))
 
 
 def big_omega_seminorm() -> SeminormDescriptor:
@@ -500,7 +506,7 @@ def big_omega_pair_form(ctx, t) -> float:
             v = top_vec(tt @ u, tta @ u)
             u = top_vec(tta @ v, tt @ v)
             r = math.hypot(abs(np.vdot(v, tt @ u)), abs(np.vdot(v, tta @ u)))
-            if r <= prev * (1.0 + 1e-14) + 1e-30:
+            if r <= prev * (1.0 + 1e-14):
                 break
             prev = r
         best = max(best, prev)
@@ -515,10 +521,17 @@ def gamma_a(ctx, t) -> float:
     the blocks of T T# + T# T and T^2 are B B* + B* B and B^2.
     """
     b = semihilbert._member_block(ctx, semihilbert._check_shape(ctx, t))
-    bh = b.conj().T
-    branch1 = math.sqrt(linalg._spectral_norm(b @ bh + bh @ b))
-    branch2 = math.sqrt(linalg._spectral_norm(b) ** 2 + radius._level_set_radius(b @ b))
-    return min(branch1, branch2)
+    return float(_gamma(b[None])[0])
+
+
+def _gamma(b):
+    """:func:`gamma_a` of each range block of a (k, r, r) stack, the
+    spectral norms from batched SVDs and omega(B^2) from the stacked level
+    set; each value is that of a one-block stack, bit for bit."""
+    bh = ctranspose(b)
+    branch1 = np.sqrt(linalg._spectral_norm(b @ bh + bh @ b))
+    branch2 = np.sqrt(linalg._spectral_norm(b) ** 2 + radius._level_set_radius(b @ b))
+    return np.minimum(branch1, branch2)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,15 @@ takes the r x r range blocks of the requested operands unchecked, groups
 the blocks of all instances by (request kind, seminorm, r), and answers
 each group with one call: the seminorm's own ``evaluate`` for values,
 ``radius._radii`` for radii and ``radius._sweeps`` for sweeps, the same
-functions that ``radius.generalized_radius`` calls on one n x n operator.
-The range block of a member under A is an operator under the identity
-context of size r (``semihilbert._identity_context``), bit for bit, so
-every such call goes through the public ``evaluate`` on that context; its
-A-real parts are exactly Hermitian there.  The catalog pays each solver's
-fixed cost per chunk, not per instance.  C22's ``gamma_A`` and C26's
-pair form are direct oracle calls, which check their own argument.
+functions that ``radius.generalized_radius`` calls on one n x n operator,
+and ``seminorms._gamma``, the core of ``seminorms.gamma_a``, for C22's
+``gamma_A`` (``_gamma``).  The range block of a member under A is an
+operator under the identity context of size r
+(``semihilbert._identity_context``), bit for bit, so every such call goes
+through the public ``evaluate`` on that context; its A-real parts are
+exactly Hermitian there.  The catalog pays each solver's fixed cost per
+chunk, not per instance.  C26's pair form is the one direct solver call
+of an evaluator: an independent oracle, which checks its own argument.
 
 Slack bookkeeping: for an obligation lhs <= rhs the relative slack is
 (rhs - lhs) / max(rhs, 1e-300); equalities use the symmetric deviation
@@ -371,15 +373,15 @@ def _slack(kind: str, lhs: float, rhs: float) -> float:
 #
 # An evaluator maps (ctx, mats, n_desc) to an InstanceOutcome.  One that
 # needs seminorm quantities is a generator: it yields one request, a sum of
-# ``_w(N, T1, ...)`` (radii), ``_n(N, T1, ...)`` (values) and ``_sweep(N,
-# combine, T)`` tuples, and the runner sends back one number per entry as a
-# tuple in the same order, then takes the outcome it returns.  The runner
-# collects the requests of many instances and answers each kind of them in
-# stacked calls on range blocks.  The runner has validated the operands in
-# ``mats`` before the call, so an evaluator builds its operands with the
-# unchecked member algebra (``semihilbert._adjoint_of_member`` and
-# ``_cartesian_parts``): sums, products and A-adjoints of members are
-# members.
+# ``_w(N, T1, ...)`` (radii), ``_n(N, T1, ...)`` (values), ``_sweep(N,
+# combine, T)`` and ``_gamma(T)`` tuples, and the runner sends back one
+# number per entry as a tuple in the same order, then takes the outcome it
+# returns.  The runner collects the requests of many instances and answers
+# each kind of them in stacked calls on range blocks.  The runner has
+# validated the operands in ``mats`` before the call, so an evaluator
+# builds its operands with the unchecked member algebra
+# (``semihilbert._adjoint_of_member`` and ``_cartesian_parts``): sums,
+# products and A-adjoints of members are members.
 
 #: Angle grid of every radius in a suite run (echoed in the report).
 _THETA_GRID = 180
@@ -401,6 +403,7 @@ _a_norm = seminorms.a_norm_seminorm
 #: Request kinds besides the sweeps, which are keyed by their combine.
 _RADIUS = "radius"
 _VALUE = "value"
+_GAMMA = "gamma"
 
 
 def _w(n_desc, *ops):
@@ -418,6 +421,11 @@ def _sweep(n_desc, combine, t):
     N(Im_A(e^{i theta} T))).  ``combine`` maps the two arrays of values to
     one; a module-level function, so that the runner can group on it."""
     return ((combine, n_desc, t),)
+
+
+def _gamma(t):
+    """A request for gamma_A(T), a bound of C22 and no seminorm's value."""
+    return ((_GAMMA, None, t),)
 
 
 def _gap(re, im):
@@ -606,8 +614,7 @@ def _eval_c21(ctx, mats, n_desc):
 
 def _eval_c22(ctx, mats, n_desc):
     t = mats["T"]
-    na, om = yield _n(_a_norm(), t) + _n(n_desc, t)
-    gam = seminorms.gamma_a(ctx, t)
+    na, om, gam = yield _n(_a_norm(), t) + _n(n_desc, t) + _gamma(t)
     return InstanceOutcome([(na, om), (om, gam), (gam, _SQRT2 * na)])
 
 
@@ -965,7 +972,10 @@ def _answer(kind, n_desc, blocks):
     block its own operator under the identity context of size r: values
     from ``n_desc.evaluate``, radii from :func:`radius._radii` and sweeps
     from :func:`radius._sweeps`, the functions behind
-    :func:`radius.generalized_radius` too."""
+    :func:`radius.generalized_radius` too, and gamma_A from
+    ``seminorms._gamma``, the core of ``seminorms.gamma_a``."""
+    if kind == _GAMMA:
+        return seminorms._gamma(blocks)
     ctx = semihilbert._identity_context(blocks.shape[-1])
     if kind == _VALUE:
         return n_desc.evaluate(ctx, blocks)
@@ -1077,13 +1087,20 @@ def run_suite(
     (seed, check number, instance index), aggregation is index-ordered, so
     the report bytes do not depend on ``threads``.  Raises ``ValueError``
     for ``threads`` that is not an integer of at least 1, for ``alphas``
-    that name no weight, or for an ``only`` that is a bare string or is
-    given but names no check, and ``KeyError`` for an unknown check id.
+    that is not a non-empty collection of real numbers (a string, a bool
+    or a lone number included), or for an ``only`` that is a bare string
+    or is given but names no check, ``AlphaOutOfRangeError`` for a weight
+    that is NaN or outside [0, 1], whether or not a listed check uses
+    ``a_alpha``, and ``KeyError`` for an unknown check id.  All of these
+    are raised before any instance is drawn.
     """
     if not _is_count(threads, 1):
         raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
-    if not alphas:
-        raise ValueError("alphas names no weight")
+    weights = tuple(alphas) if np.iterable(alphas) and not isinstance(alphas, str) else ()
+    if not weights or any(isinstance(a, bool) or not isinstance(a, numbers.Real) for a in weights):
+        raise ValueError(f"alphas must name at least one real weight, got {alphas!r}")
+    # every weight gets its descriptor, even if no listed check uses a_alpha
+    _expand_seminorms(["a_alpha"], weights)
     specs = catalog()
     if only is not None:
         wanted = set(only)
@@ -1098,7 +1115,7 @@ def run_suite(
 
     results = []
     for spec in specs:
-        sems = _expand_seminorms(spec.seminorm_ids, alphas)
+        sems = _expand_seminorms(spec.seminorm_ids, weights)
         res = CheckResult(
             id=spec.id,
             statement=spec.statement,
@@ -1149,7 +1166,7 @@ def run_suite(
         version=__version__,
         config={
             **asdict(cfg), **_GRIDS,
-            "alphas": list(alphas), "only": sorted(only) if only else None,
+            "alphas": list(weights), "only": sorted(only) if only else None,
         },
         checks=results,
         violations_total=sum(r.violations for r in results),

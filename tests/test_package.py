@@ -183,8 +183,8 @@ def test_catalog_checks_membership_once_per_instance():
     # the driver validates what an instance draws; the operands evaluators
     # build from it are members by construction, so no evaluator or the
     # request solver checks again.  probe_properties probes the public
-    # a_adjoint, and C22's gamma_a and C26's pair form are oracles that
-    # check their own argument.
+    # a_adjoint, and C26's pair form is an oracle that checks its own
+    # argument.
     calls = _calls_by_function(SRC / "verify.py")
 
     def callers(name):
@@ -193,3 +193,18 @@ def test_catalog_checks_membership_once_per_instance():
     assert callers("require_member") == ["_drive"]
     assert callers("a_adjoint") == ["probe_properties"]
     assert callers("re_a") == callers("_member_block") == []
+
+
+def test_evaluators_ask_the_driver_for_every_solver_value():
+    # an evaluator yields its seminorm values, radii, sweeps and gamma_A as
+    # requests that the driver answers per group; C26's pair form is the
+    # one direct call, an oracle independent of the path it checks
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    callers = sorted(
+        fn.name for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_eval_c")
+        and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "seminorms"
+                for node in ast.walk(fn))
+    )
+    assert callers == ["_eval_c26"]

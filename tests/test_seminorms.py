@@ -16,6 +16,7 @@ from shnr import (
     build_context,
     compress,
     gamma_a,
+    generalized_radius,
     omega_a,
     probe_properties,
     re_a,
@@ -361,6 +362,50 @@ class TestGamma:
         ctx = build_context(np.eye(2))
         t = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert gamma_a(ctx, t) == pytest.approx(SQRT2, abs=1e-10)
+
+
+#: Every public value of T, each homogeneous of degree 1 in T.
+SCALED_VALUES = {
+    "a_norm": a_norm_seminorm().evaluate,
+    "a_alpha[0.5]": a_alpha_seminorm(0.5).evaluate,
+    "a_alpha[1]": a_alpha_seminorm(1.0).evaluate,
+    "big_omega": big_omega_seminorm().evaluate,
+    "gamma_a": gamma_a,
+    "pair_form": big_omega_pair_form,
+    "radius[big_omega]": lambda ctx, t: generalized_radius(ctx, big_omega_seminorm(), t, 180),
+}
+
+
+@pytest.fixture(scope="module")
+def scaled_cases():
+    """General members at two (n, rank), with their unscaled values."""
+    out = []
+    for n, rank in ((3, 2), (4, 3)):
+        ctx = make_ctx(n, rank, seed=1900 + 10 * n + rank)
+        t = verify.random_member(ctx, seed=1950 + 10 * n + rank, unit_norm=True)
+        out.append((ctx, t, {k: f(ctx, t) for k, f in SCALED_VALUES.items()}))
+    return out
+
+
+class TestScaleOfT:
+    """N(dT) = d N(T) for every value, the alpha ascent, the Omega_A
+    refinement and the pair form included: their stop tests are relative,
+    with no absolute floor, so a power-of-two scale moves no bit and a
+    decimal one moves a value by roundoff only."""
+
+    @pytest.mark.parametrize("k", [-200, -100, -40, 40, 100, 200])
+    def test_power_of_two_scale_is_exact(self, k, scaled_cases):
+        d = 2.0**k
+        for ctx, t, want in scaled_cases:
+            for name, f in SCALED_VALUES.items():
+                assert f(ctx, d * t) == d * want[name], (name, ctx.dim)
+
+    @pytest.mark.parametrize("d", [1e-30, 1e-12, 1e12, 1e30])
+    def test_decimal_scale_within_roundoff(self, d, scaled_cases):
+        for ctx, t, want in scaled_cases:
+            tol = 16 * ctx.dim * np.finfo(float).eps
+            for name, f in SCALED_VALUES.items():
+                assert f(ctx, d * t) / d == pytest.approx(want[name], rel=tol, abs=0.0), name
 
 
 class TestVectorLemma:

@@ -32,7 +32,7 @@ from shnr import (
     omega_a_fast,
     verify,
 )
-from shnr import linalg, radius, semihilbert
+from shnr import linalg, radius, semihilbert, seminorms
 from shnr.semihilbert import require_member
 from conftest import make_ctx, refine_step_cap
 
@@ -194,6 +194,23 @@ class TestStackMemory:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_omega_stack_peak_under_768_kib_at_n16(self):
+        # a stack of general blocks is refined a slice at a time, each slice
+        # holding the refinement's two stacks of starts per block; the grid
+        # is sliced on its own
+        ctx = make_ctx(16, 16, seed=1620)
+        rng = np.random.default_rng(1621)
+        stack = np.stack([verify.random_member(ctx, rng, unit_norm=True) for _ in range(40)])
+        evaluate = big_omega_seminorm().evaluate
+        evaluate(ctx, stack)
+        tracemalloc.start()
+        try:
+            evaluate(ctx, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 << 10
+
     def test_capped_batches_are_bit_identical(self, monkeypatch):
         # 5 matrices a stack splits the sweep's 720 angles and the Omega
         # grid's 288 points over many eigenvalue calls
@@ -337,16 +354,40 @@ class TestCatalogRoute:
 
     @pytest.mark.parametrize("cap", [None, 3])
     def test_values_match_one_at_a_time_bit_for_bit(self, cap, monkeypatch):
-        # 30 instances of two sizes, three operands each; a 3-matrix cap
-        # splits every group, and the solvers' batches, over many stacks
+        # 30 instances of two sizes, three operands each, and a gamma_A; a
+        # 3-matrix cap splits every group, and the solvers' batches, over
+        # many stacks
         if cap is not None:
             _small_stacks(monkeypatch, cap, 3)
         asks, want = {}, {}
         for i in range(30):
             ctx, ts = _members(3, (3, 2)[i % 2], 3, seed=200 + i)
             desc = list(DESCRIPTORS.values())[i % len(DESCRIPTORS)]
-            asks[i] = (ctx, verify._n(desc, *ts) + verify._n(verify._a_norm(), ts[0]))
-            want[i] = [desc.evaluate(ctx, t) for t in ts] + [a_norm_seminorm().evaluate(ctx, ts[0])]
+            asks[i] = (ctx, verify._n(desc, *ts) + verify._n(verify._a_norm(), ts[0])
+                       + verify._gamma(ts[1]))
+            want[i] = ([desc.evaluate(ctx, t) for t in ts]
+                       + [a_norm_seminorm().evaluate(ctx, ts[0]), gamma_a(ctx, ts[1])])
         got = verify._solve(asks)
         for i in asks:
             _assert_bits_equal(got[i], want[i])
+
+
+class TestStackedGamma:
+    """``seminorms._gamma``, the core of ``gamma_a`` that the catalog calls
+    once per group of range blocks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
+    def test_core_matches_gamma_a_bit_for_bit(self, n):
+        # at n = 16 the level set of B^2 runs over several stacks
+        m = _level_set_members(n, 12, seed=1700 + n)
+        ctx = semihilbert._identity_context(n)
+        _assert_bits_equal(seminorms._gamma(m), [gamma_a(ctx, x) for x in m])
+
+    @pytest.mark.parametrize("n,rank", [(3, 2), (4, 4), (5, 3)])
+    def test_core_on_range_blocks_matches_gamma_a(self, n, rank):
+        ctx, ts = _members(n, rank, 6, seed=1750 + 10 * n + rank)
+        blocks = semihilbert._member_block(ctx, np.stack(ts))
+        _assert_bits_equal(seminorms._gamma(blocks), [gamma_a(ctx, t) for t in ts])
+
+    def test_empty_stack_gives_no_values(self):
+        assert seminorms._gamma(np.zeros((0, 3, 3), dtype=complex)).shape == (0,)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import inspect
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -305,10 +306,29 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="threads"):
             run_suite(SMALL_CFG, only=["C18"], threads=threads)
 
-    def test_alphas_that_name_no_weight_rejected(self):
-        # checked up front, as ``only`` is, before any instance is drawn
-        with pytest.raises(ValueError, match="alphas"):
-            run_suite(SMALL_CFG, only=["C21"], alphas=())
+    def test_alphas_that_name_no_weight_rejected(self, monkeypatch):
+        # checked up front, as ``only`` is, before any instance is drawn,
+        # and whether or not a listed check uses a_alpha
+        monkeypatch.setattr(verify, "_run_chunk", None)
+        not_weights = [(), [], 0.5, np.array(0.5), "0.5", "", None, (True,), (0.5, False),
+                       ("x",), (None,), (0.5, 1j)]
+        out_of_range = [(2.0,), (0.5, -0.25), (math.nan,), (0.5, math.inf)]
+        for only in (["C21"], ["C18"]):
+            for alphas in not_weights:
+                with pytest.raises(ValueError, match="alphas"):
+                    run_suite(SMALL_CFG, only=only, alphas=alphas)
+            for alphas in out_of_range:
+                with pytest.raises(shnr.AlphaOutOfRangeError):
+                    run_suite(SMALL_CFG, only=only, alphas=alphas)
+
+    def test_alphas_may_be_any_iterable_of_reals(self):
+        # read once, so an iterator serves every check; integers and NumPy
+        # floats are real weights, echoed as given
+        rep = run_suite(InstanceGenConfig(instances_per_check=2), only=["C20", "C21"],
+                        alphas=iter([0, np.float64(0.5)]))
+        assert rep.incomplete_total == 0
+        assert rep.config["alphas"] == [0, 0.5]
+        assert [c.seminorms for c in rep.checks] == [["a_alpha[0]", "a_alpha[0.5]"]] * 2
 
     def test_pinned_remark_values(self):
         rep = run_suite(SMALL_CFG, only=["C26"])
@@ -451,6 +471,28 @@ class TestFailureIsolation:
             if i != self.BAD:
                 assert g.pairs == w.pairs, i
 
+    def test_a_failing_gamma_block_fails_its_instance_alone(self, monkeypatch):
+        # C22's gamma_A is one grouped request: the group holding the bad
+        # block is solved again one instance at a time
+        spec = {s.id: s for s in catalog()}["C22"]
+        instances = self._instances(spec, 12, shnr.big_omega_seminorm())
+        want = verify._drive(spec, instances)
+        exact = shnr.seminorms._gamma
+
+        def failing(b):
+            if np.abs(b).max() > 100.0:
+                raise np.linalg.LinAlgError("injected")
+            return exact(b)
+
+        monkeypatch.setattr(shnr.seminorms, "_gamma", failing)
+        ctx, mats, desc = instances[self.BAD]
+        instances[self.BAD] = (ctx, {**mats, "T": 1e3 * mats["T"]}, desc)
+        got = verify._drive(spec, instances)
+        assert isinstance(got[self.BAD], np.linalg.LinAlgError)
+        for i, (g, w) in enumerate(zip(got, want)):
+            if i != self.BAD:
+                assert g.pairs == w.pairs, i
+
     @pytest.mark.parametrize("threads", [1, 3])
     def test_suite_marks_one_instance_incomplete(self, monkeypatch, threads):
         cfg = InstanceGenConfig(dims=(3,), rank_profiles=("full", "n-1"),
@@ -471,6 +513,41 @@ class TestFailureIsolation:
         )
         (chk,) = run_suite(cfg, only=["C14"], threads=threads).checks
         assert (chk.instances_run, chk.incomplete) == (11, 1)
+
+
+class TestGroupedC22:
+    """C22 asks for Omega_A(T) and gamma_A(T) as grouped requests: one
+    ``_omega_solve`` call serves a whole slice of a (chunk, r) group, and
+    one gamma call a whole group."""
+
+    def test_one_solver_call_per_group(self, monkeypatch):
+        solves, gammas = [], []
+        exact_solve, exact_gamma = shnr.seminorms._omega_solve, shnr.seminorms._gamma
+
+        def solve(tts, *grid):
+            solves.append(tts.shape)
+            return exact_solve(tts, *grid)
+
+        def gamma(b):
+            gammas.append(b.shape)
+            return exact_gamma(b)
+
+        monkeypatch.setattr(shnr.seminorms, "_omega_solve", solve)
+        monkeypatch.setattr(shnr.seminorms, "_gamma", gamma)
+        # 9 instances: one a (dim, rank profile) cell, so ranks 1, 1, 2, 2,
+        # 2, 2, 3, 3 and 4, and one chunk
+        (chk,) = run_suite(InstanceGenConfig(instances_per_check=9), only=["C22"]).checks
+        assert (chk.instances_run, chk.incomplete) == (9, 0)
+        count = {1: 2, 2: 4, 3: 2, 4: 1}
+        assert sorted(gammas) == sorted((k, r, r) for r, k in count.items())
+        # every T is a general member, so each of its blocks goes to the
+        # solver, in slices whose scratch (2 * OMEGA_REFINE_STARTS matrices
+        # a block) fits linalg.STACK_BYTES
+        width = 2 * shnr.seminorms.OMEGA_REFINE_STARTS
+        want = [(len(range(k)[sl]), r, r) for r, k in count.items()
+                for sl in shnr.linalg.stack_slices(k, width * 16 * r * r)]
+        assert sorted(solves) == sorted(want)
+        assert len(solves) == len(count)
 
 
 class TestOneMembershipCheck:
